@@ -208,7 +208,7 @@ func BenchmarkConflictGraphCheck(b *testing.B) {
 			}
 			rec.Implemented(model.CopyID{Item: model.ItemID((t*7 + o) % 64)}, id, kind)
 		}
-		rec.Committed(id, model.TwoPL)
+		rec.Committed(id, model.TwoPL, model.NoTimestamp)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

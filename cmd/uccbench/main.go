@@ -26,8 +26,8 @@
 //
 //	uccbench -wire-json BENCH_wire.json
 //
-// measures the wire-v3 codec against the legacy gob stream over the mixed
-// message corpus and writes the comparison (same artifact contract), and:
+// measures the wire-v3 codec over the mixed message corpus and writes its
+// absolute costs (same artifact contract), and:
 //
 //	uccbench -quorum-json BENCH_quorum.json
 //
@@ -62,7 +62,7 @@ func main() {
 		gateNs     = flag.Bool("gate-ns", false, "also gate ns/op in -check (off by default: wall-clock cost does not transfer across runners)")
 		require    = flag.String("require", "", "regexp of baseline benchmark names that must appear in the -check output; empty requires ALL of them — a baseline entry missing from the run fails loudly instead of being skipped")
 		shardsJSON = flag.String("shards-json", "", "run the EXP-11 shard sweep and write this JSON artifact, then exit")
-		wireJSON   = flag.String("wire-json", "", "run the wire-v3-vs-gob codec comparison and write this JSON artifact, then exit")
+		wireJSON   = flag.String("wire-json", "", "measure the wire-v3 codec over its corpus and write this JSON artifact, then exit")
 		quorumJSON = flag.String("quorum-json", "", "run the EXP-14 quorum failover sweep at full scale and write this JSON artifact, then exit")
 		rebalJSON  = flag.String("rebalance-json", "", "run the EXP-15 online-rebalance sweep at full scale and write this JSON artifact, then exit")
 	)

@@ -1,4 +1,4 @@
-// BENCH_wire.json generation: the wire-v3 codec vs gob comparison as a
+// BENCH_wire.json generation: the wire-v3 codec's absolute costs as a
 // machine-readable artifact, refreshed by the bench-gate CI job on every PR
 // so codec numbers from real runners accumulate next to the code (the same
 // contract as BENCH_shards.json for shard scaling).
@@ -18,21 +18,19 @@ type wireReport struct {
 	Recorded string     `json:"recorded"`
 	Command  string     `json:"command"`
 	Host     shardsHost `json:"host"`
-	// Report is the measured comparison: per-codec msgs/sec, ns/msg,
-	// allocs/msg, bytes/msg over the mixed-message corpus, plus the
-	// speedup and allocation ratios the acceptance gate holds
-	// (TestWireCodecGate: speedup ≥ 1.5x, alloc ratio ≤ 0.10).
+	// Report is the measurement: msgs/sec, ns/msg, allocs/msg, bytes/msg
+	// over the mixed-message corpus, for plain and pooled decoding.
 	Report wire.CodecReport `json:"report"`
 	Note   string           `json:"note"`
 }
 
-// writeWireJSON verifies the codec round-trips its corpus, measures both
-// codecs, and writes the artifact.
+// writeWireJSON verifies the codec round-trips its corpus, measures it, and
+// writes the artifact.
 func writeWireJSON(path string) error {
 	if err := wire.Verify(); err != nil {
 		return fmt.Errorf("codec self-check: %w", err)
 	}
-	rep, err := wire.CompareWithGob(300)
+	rep, err := wire.Measure(300)
 	if err != nil {
 		return err
 	}
@@ -46,9 +44,9 @@ func writeWireJSON(path string) error {
 		},
 		Report: rep,
 		Note: "full encode→decode round trip per envelope over the mixed-message corpus " +
-			"(internal/wire Corpus): wire v3 explicit binary codec vs the legacy encoding/gob " +
-			"stream. msgs/sec is host-bound; bytes/msg is corpus-deterministic; the ratios are " +
-			"what the CI gate (TestWireCodecGate) holds.",
+			"(internal/wire Corpus), plain and pooled decoding. msgs/sec and ns/msg are host-bound; " +
+			"allocs/msg and bytes/msg are properties of the code, and BenchmarkWireCodec's " +
+			"allocs/msg and msgs/KB are gated lower/higher-is-better in BENCH_baseline.json.",
 	}, "", "  ")
 	if err != nil {
 		return err

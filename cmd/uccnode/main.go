@@ -258,8 +258,8 @@ func main() {
 	log.Printf("uccnode: site %d backpressure: mailbox NAKs=%d high=%d, send-queue drops=%d high=%d, shed=%d, busy NAKs=%d",
 		*site, ovf, mbHigh, dropped, sqHigh, st.Shed, st.BusyNAKs)
 	ws := node.Wire().Snapshot()
-	log.Printf("uccnode: site %d wire: out %d msgs/%d B (%.1f B/msg), in %d msgs/%d B (%.1f B/msg), conns v3=%d v2-fallback=%d",
-		*site, ws.MsgsOut, ws.BytesOut, ws.BytesPerMsgOut(), ws.MsgsIn, ws.BytesIn, ws.BytesPerMsgIn(), ws.V3Conns, ws.V2Fallbacks)
+	log.Printf("uccnode: site %d wire: out %d msgs/%d B (%.1f B/msg), in %d msgs/%d B (%.1f B/msg), conns=%d, unknown-tag frames=%d",
+		*site, ws.MsgsOut, ws.BytesOut, ws.BytesPerMsgOut(), ws.MsgsIn, ws.BytesIn, ws.BytesPerMsgIn(), ws.V3Conns, ws.UnknownIn)
 	if quorum != nil {
 		qc := mgr.Snapshot()
 		log.Printf("uccnode: site %d repl: pulls served=%d, applied=%d, dup-skipped=%d, snapshot resets=%d, watermarks=%v",

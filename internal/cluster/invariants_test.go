@@ -68,23 +68,17 @@ func TestTOTimestampOrderInvariant(t *testing.T) {
 	res := cl.Run(3_000_000, 5_000_000)
 	checkRun(t, "to-order", res, 200)
 
-	tsOf := func(id model.TxnID) (model.Timestamp, bool) {
-		iss := cl.Issuers[id.Site]
-		if iss == nil {
-			return 0, false
-		}
-		return iss.FinalTimestamp(id)
-	}
-	if err := cl.Recorder.VerifyTimestampOrder(tsOf); err != nil {
+	if err := cl.Recorder.VerifyTimestampOrder(model.TO); err != nil {
 		t.Fatalf("timestamp order violated: %v", err)
 	}
 }
 
-// TestPAFinalTimestampsAgree checks PA's agreement property: after a run,
+// TestPAAgreedTimestampOrder checks PA's agreement property: after a run,
 // every committed PA transaction has exactly one final timestamp recorded
-// (the issuer's expectTS), and committed PA transactions with conflicting
-// accesses appear in logs consistently with those timestamps.
-func TestPAFinalTimestampsAgree(t *testing.T) {
+// (the issuer's expectTS, recorded at commit), and committed PA transactions
+// with conflicting accesses appear in logs consistently with those
+// timestamps.
+func TestPAAgreedTimestampOrder(t *testing.T) {
 	cfg := base(34)
 	cfg.Items = 10
 	cl, err := NewSim(cfg)
@@ -109,10 +103,7 @@ func TestPAFinalTimestampsAgree(t *testing.T) {
 	if cl.QMTotals().Backoffs == 0 {
 		t.Error("workload produced no PA back-offs; agreement path unexercised")
 	}
-	tsOf := func(id model.TxnID) (model.Timestamp, bool) {
-		return cl.Issuers[id.Site].FinalTimestamp(id)
-	}
-	if err := cl.Recorder.VerifyTimestampOrder(tsOf); err != nil {
+	if err := cl.Recorder.VerifyTimestampOrder(model.PA); err != nil {
 		t.Fatalf("PA agreed-timestamp order violated: %v", err)
 	}
 }

@@ -196,7 +196,7 @@ func ShardThroughput(shards, workers, txnsPerWorker int, hotShard bool, seed int
 					model.RecycleMessage(rel)
 				}
 				ctx.recycleSent()
-				rec.Committed(txn, model.PA)
+				rec.Committed(txn, model.PA, ts)
 			}
 		}(w)
 	}

@@ -23,7 +23,7 @@ type Recorder struct {
 	mu        sync.Mutex
 	seq       uint64
 	logs      map[model.CopyID][]Entry
-	committed map[model.TxnID]model.Protocol
+	committed map[model.TxnID]commit
 	// writes counts the write entries in each copy's log, so the common
 	// snapshot read — one that observed the newest version — appends in
 	// O(1) instead of scanning the log to find its position.
@@ -34,7 +34,7 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	return &Recorder{
 		logs:      map[model.CopyID][]Entry{},
-		committed: map[model.TxnID]model.Protocol{},
+		committed: map[model.TxnID]commit{},
 		writes:    map[model.CopyID]uint64{},
 	}
 }
@@ -118,14 +118,22 @@ func (r *Recorder) Discard(c model.CopyID, txn model.TxnID) {
 	r.logs[c] = out
 }
 
-// Committed marks txn as having executed to completion under protocol p.
-// Only committed transactions participate in the serializability check;
-// aborted attempts never implement operations (their writes are discarded at
-// abort), so they cannot affect other transactions.
-func (r *Recorder) Committed(txn model.TxnID, p model.Protocol) {
+// commit is what the recorder keeps about one committed transaction.
+type commit struct {
+	protocol model.Protocol
+	ts       model.Timestamp
+}
+
+// Committed marks txn as having executed to completion under protocol p with
+// final timestamp ts (the timestamp its operations were ordered by; ignored
+// for protocols that order by queue arrival). Only committed transactions
+// participate in the serializability check; aborted attempts never implement
+// operations (their writes are discarded at abort), so they cannot affect
+// other transactions.
+func (r *Recorder) Committed(txn model.TxnID, p model.Protocol, ts model.Timestamp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.committed[txn] = p
+	r.committed[txn] = commit{protocol: p, ts: ts}
 }
 
 // NumCommitted returns the number of committed transactions.
@@ -285,13 +293,17 @@ func topoSort(nodes map[model.TxnID]bool, adj map[model.TxnID]map[model.TxnID]bo
 	return out, nil
 }
 
-// VerifyTimestampOrder checks the T/O-specific invariant used in unit tests:
-// within each log, operations implemented by T/O transactions appear in
-// nondecreasing timestamp order when conflicting. tsOf maps a transaction to
-// its final timestamp (or false if not a T/O transaction).
-func (r *Recorder) VerifyTimestampOrder(tsOf func(model.TxnID) (model.Timestamp, bool)) error {
+// VerifyTimestampOrder checks the timestamp-precedence invariant of one
+// protocol (T/O or PA): within each log, conflicting operations of committed
+// transactions of protocol p appear in nondecreasing order of the final
+// timestamps recorded by Committed.
+func (r *Recorder) VerifyTimestampOrder(p model.Protocol) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	tsOf := func(id model.TxnID) (model.Timestamp, bool) {
+		c, ok := r.committed[id]
+		return c.ts, ok && c.protocol == p
+	}
 	for copyID, log := range r.logs {
 		for i := 0; i < len(log); i++ {
 			ti, ok := tsOf(log[i].Txn)

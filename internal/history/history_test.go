@@ -26,8 +26,8 @@ func TestCheckSerialExecution(t *testing.T) {
 	r.Implemented(cid(2), tid(1), model.OpWrite)
 	r.Implemented(cid(1), tid(2), model.OpRead)
 	r.Implemented(cid(2), tid(2), model.OpWrite)
-	r.Committed(tid(1), model.TwoPL)
-	r.Committed(tid(2), model.TO)
+	r.Committed(tid(1), model.TwoPL, model.NoTimestamp)
+	r.Committed(tid(2), model.TO, 2)
 	res := r.Check()
 	if !res.Serializable {
 		t.Fatalf("serial execution flagged non-serializable: cycle=%v", res.Cycle)
@@ -49,8 +49,8 @@ func TestCheckDetectsCycle(t *testing.T) {
 	r.Implemented(cid(1), tid(2), model.OpRead)
 	r.Implemented(cid(2), tid(2), model.OpWrite)
 	r.Implemented(cid(2), tid(1), model.OpRead)
-	r.Committed(tid(1), model.TwoPL)
-	r.Committed(tid(2), model.TwoPL)
+	r.Committed(tid(1), model.TwoPL, model.NoTimestamp)
+	r.Committed(tid(2), model.TwoPL, model.NoTimestamp)
 	res := r.Check()
 	if res.Serializable {
 		t.Fatal("cycle not detected")
@@ -68,7 +68,7 @@ func TestCheckIgnoresUncommitted(t *testing.T) {
 	r.Implemented(cid(2), tid(1), model.OpWrite)
 	// Only t1 committed: the apparent cycle involves an aborted txn and
 	// must be ignored.
-	r.Committed(tid(1), model.TwoPL)
+	r.Committed(tid(1), model.TwoPL, model.NoTimestamp)
 	res := r.Check()
 	if !res.Serializable {
 		t.Fatal("uncommitted transaction affected the check")
@@ -84,8 +84,8 @@ func TestCheckReadsDontConflict(t *testing.T) {
 	r.Implemented(cid(1), tid(2), model.OpRead)
 	r.Implemented(cid(2), tid(2), model.OpRead)
 	r.Implemented(cid(2), tid(1), model.OpRead)
-	r.Committed(tid(1), model.TO)
-	r.Committed(tid(2), model.TO)
+	r.Committed(tid(1), model.TO, 1)
+	r.Committed(tid(2), model.TO, 2)
 	res := r.Check()
 	if !res.Serializable || res.Edges != 0 {
 		t.Fatalf("read-only ops created conflicts: %+v", res)
@@ -104,7 +104,7 @@ func TestCheckThreeCycle(t *testing.T) {
 	r.Implemented(cid(3), tid(3), model.OpRead)  // r3(z)
 	r.Implemented(cid(3), tid(2), model.OpWrite) // w2(z)
 	for i := 1; i <= 3; i++ {
-		r.Committed(tid(i), model.TO)
+		r.Committed(tid(i), model.TO, model.Timestamp(i))
 	}
 	res := r.Check()
 	if res.Serializable {
@@ -132,7 +132,7 @@ func TestCheckSerialAlwaysSerializable(t *testing.T) {
 				}
 				r.Implemented(cid(rng.Intn(I)), tid(x), kind)
 			}
-			r.Committed(tid(x), model.TwoPL)
+			r.Committed(tid(x), model.TwoPL, model.NoTimestamp)
 		}
 		return r.Check().Serializable
 	}
@@ -145,17 +145,18 @@ func TestVerifyTimestampOrder(t *testing.T) {
 	r := NewRecorder()
 	r.Implemented(cid(1), tid(1), model.OpWrite)
 	r.Implemented(cid(1), tid(2), model.OpWrite)
-	ts := map[model.TxnID]model.Timestamp{tid(1): 5, tid(2): 9}
-	lookup := func(id model.TxnID) (model.Timestamp, bool) {
-		v, ok := ts[id]
-		return v, ok
-	}
-	if err := r.VerifyTimestampOrder(lookup); err != nil {
+	r.Committed(tid(1), model.TO, 5)
+	r.Committed(tid(2), model.TO, 9)
+	if err := r.VerifyTimestampOrder(model.TO); err != nil {
 		t.Fatalf("in-order log flagged: %v", err)
 	}
-	ts[tid(2)] = 3 // now out of order
-	if err := r.VerifyTimestampOrder(lookup); err == nil {
+	r.Committed(tid(2), model.TO, 3) // now out of order
+	if err := r.VerifyTimestampOrder(model.TO); err == nil {
 		t.Fatal("out-of-order log not flagged")
+	}
+	// Only the named protocol's transactions are compared.
+	if err := r.VerifyTimestampOrder(model.PA); err != nil {
+		t.Fatalf("T/O pair checked under PA: %v", err)
 	}
 }
 

@@ -275,9 +275,9 @@ func TestWireCounters(t *testing.T) {
 	w.MsgsIn.Add(2)
 	w.BytesIn.Add(50)
 	w.V3Conns.Add(1)
-	w.V2Fallbacks.Add(3)
+	w.UnknownIn.Add(3)
 	s := w.Snapshot()
-	if s.MsgsOut != 4 || s.BytesOut != 100 || s.MsgsIn != 2 || s.BytesIn != 50 || s.V3Conns != 1 || s.V2Fallbacks != 3 {
+	if s.MsgsOut != 4 || s.BytesOut != 100 || s.MsgsIn != 2 || s.BytesIn != 50 || s.V3Conns != 1 || s.UnknownIn != 3 {
 		t.Fatalf("snapshot lost counts: %+v", s)
 	}
 	if s.BytesPerMsgOut() != 25 || s.BytesPerMsgIn() != 25 {

@@ -3,29 +3,19 @@ package metrics
 import "sync/atomic"
 
 // WireCounters aggregate the transport's codec-level traffic: envelopes and
-// bytes each way, and how every outbound connection negotiated (v3 binary
-// frames vs the legacy v2 gob fallback). The transport owns one instance and
-// bumps it from its reader and writer goroutines; everything is atomic so
-// snapshots are safe from any goroutine. Bytes are counted at the frame
-// layer (encoded frames, before the kernel) in both directions for v3
-// traffic, so BytesOut/MsgsOut and BytesIn/MsgsIn are the real wire cost per
-// message the codec achieves and the two ends of a link agree. The one
-// exception is a legacy v2 gob stream, which has no frames: its bytes (both
-// directions) are counted at the socket layer, so they include gob's type
-// dictionaries and may re-count a batch retried across a reconnect
-// (approximate by nature — the stream being measured is the legacy cost).
+// bytes each way, and the outbound connections opened. The transport owns
+// one instance and bumps it from its reader and writer goroutines;
+// everything is atomic so snapshots are safe from any goroutine. Bytes are
+// counted at the frame layer (encoded frames, before the kernel) in both
+// directions, so BytesOut/MsgsOut and BytesIn/MsgsIn are the real wire cost
+// per message the codec achieves and the two ends of a link agree.
 type WireCounters struct {
 	MsgsOut  atomic.Uint64
 	BytesOut atomic.Uint64
 	MsgsIn   atomic.Uint64
 	BytesIn  atomic.Uint64
-	// V3Conns counts outbound connections that negotiated wire v3;
-	// V2Fallbacks counts outbound connections that fell back to the legacy
-	// gob stream because the peer never acknowledged v3 (an older build —
-	// or, rarely, a live v3 peer whose ack stalled past the negotiation
-	// timeout; the fallback still interoperates and the next dial re-probes).
-	V3Conns     atomic.Uint64
-	V2Fallbacks atomic.Uint64
+	// V3Conns counts outbound connections that completed the v3 handshake.
+	V3Conns atomic.Uint64
 	// UnknownIn counts v3 frames skipped because they carried a message tag
 	// this build doesn't know — traffic from a NEWER peer during a rolling
 	// upgrade. Skipped frames are excluded from MsgsIn/BytesIn (they are
@@ -37,10 +27,10 @@ type WireCounters struct {
 
 // WireSnapshot is a point-in-time copy of WireCounters.
 type WireSnapshot struct {
-	MsgsOut, BytesOut    uint64
-	MsgsIn, BytesIn      uint64
-	V3Conns, V2Fallbacks uint64
-	UnknownIn            uint64
+	MsgsOut, BytesOut uint64
+	MsgsIn, BytesIn   uint64
+	V3Conns           uint64
+	UnknownIn         uint64
 }
 
 // Snapshot copies the counters.
@@ -48,8 +38,7 @@ func (w *WireCounters) Snapshot() WireSnapshot {
 	return WireSnapshot{
 		MsgsOut: w.MsgsOut.Load(), BytesOut: w.BytesOut.Load(),
 		MsgsIn: w.MsgsIn.Load(), BytesIn: w.BytesIn.Load(),
-		V3Conns: w.V3Conns.Load(), V2Fallbacks: w.V2Fallbacks.Load(),
-		UnknownIn: w.UnknownIn.Load(),
+		V3Conns: w.V3Conns.Load(), UnknownIn: w.UnknownIn.Load(),
 	}
 }
 

@@ -43,7 +43,7 @@ type Txn struct {
 }
 
 // WriteSpec describes the value a transaction's write phase installs for one
-// item as a gob-serializable expression: value = read(Source) + AddConst
+// item as a plain-data expression: value = read(Source) + AddConst
 // when UseSource, else AddConst. Source must be an item the transaction
 // reads or writes (lock grants attach pre-images, so a written item's old
 // value is available for read-modify-write).

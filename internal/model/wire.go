@@ -16,8 +16,8 @@ import (
 // allocations (see internal/wire for framing and buffer pooling).
 //
 // The tag values are part of the persistent wire contract: peers of different
-// builds negotiate v3 against each other, so tags must NEVER be renumbered or
-// reused — new message types append new tags.
+// builds speak v3 to each other, so tags must NEVER be renumbered or reused —
+// new message types append new tags.
 
 // WireTag identifies a message type on the wire.
 type WireTag byte
@@ -231,6 +231,28 @@ func (r *WireReader) Bool() bool {
 	}
 }
 
+// Enum cardinalities the decoder validates one-byte enum fields against
+// (valid values are 0..n-1).
+const (
+	numMemberProtocols = int(PA) + 1 // a RequestMsg never carries ROSnapshot
+	numOpKinds         = int(OpWrite) + 1
+	numLockKinds       = int(SWL) + 1
+	numOutcomes        = int(OutcomeBusy) + 1
+)
+
+// enum decodes a one-byte enum field whose valid values are 0..n-1. An
+// out-of-range byte is corrupt: a decoded message must never carry a value
+// the receiving state machine has no case for (a queue manager panics on an
+// unknown protocol, and per-protocol arrays are indexed by it).
+func (r *WireReader) enum(n int) byte {
+	v := r.Byte()
+	if int(v) >= n {
+		r.fail(ErrWireCorrupt)
+		return 0
+	}
+	return v
+}
+
 // F64 decodes fixed-width IEEE-754 bits.
 func (r *WireReader) F64() float64 {
 	if r.err != nil {
@@ -429,8 +451,8 @@ func (m RequestMsg) AppendWire(b []byte) []byte {
 
 func decodeRequest(r *WireReader) (m RequestMsg) {
 	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.Protocol = Protocol(r.Byte())
-	m.Kind = OpKind(r.Byte())
+	m.Protocol = Protocol(r.enum(numMemberProtocols))
+	m.Kind = OpKind(r.enum(numOpKinds))
 	m.TS = Timestamp(r.Varint())
 	m.Interval = Timestamp(r.Varint())
 	m.Site = SiteID(r.Varint32())
@@ -491,7 +513,7 @@ func (m GrantMsg) AppendWire(b []byte) []byte {
 
 func decodeGrant(r *WireReader) (m GrantMsg) {
 	m.Txn, m.Attempt, m.Copy = r.hdr()
-	m.Lock = LockKind(r.Byte())
+	m.Lock = LockKind(r.enum(numLockKinds))
 	m.PreScheduled = r.Bool()
 	m.TS = Timestamp(r.Varint())
 	m.Value = r.Varint()
@@ -681,7 +703,7 @@ func (t *Txn) AppendWire(b []byte) []byte {
 func decodeTxn(r *WireReader) *Txn {
 	t := &Txn{}
 	t.ID = r.txnID()
-	t.Protocol = Protocol(r.Byte())
+	t.Protocol = Protocol(r.enum(NumProtocols))
 	t.ReadSet = r.items()
 	t.WriteSet = r.items()
 	t.ComputeMicros = r.Varint()
@@ -740,8 +762,8 @@ func (m TxnDoneMsg) AppendWire(b []byte) []byte {
 
 func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 	m.Txn = r.txnID()
-	m.Protocol = Protocol(r.Byte())
-	m.Outcome = TxnOutcome(r.Byte())
+	m.Protocol = Protocol(r.enum(NumProtocols))
+	m.Outcome = TxnOutcome(r.enum(numOutcomes))
 	m.ArrivalMicros = r.Varint()
 	m.DoneMicros = r.Varint()
 	m.FirstArrivalMicros = r.Varint()
@@ -750,7 +772,7 @@ func decodeTxnDone(r *WireReader) (m TxnDoneMsg) {
 	m.Reads = int(r.Varint())
 	m.Writes = int(r.Varint())
 	m.Messages = r.Varint()
-	m.RejectKind = OpKind(r.Byte())
+	m.RejectKind = OpKind(r.enum(numOpKinds))
 	m.BackoffReads = int(r.Varint())
 	m.BackoffWrites = int(r.Varint())
 	m.LockedMicros = r.Varint()

@@ -129,3 +129,81 @@ func TestMessageTagsStable(t *testing.T) {
 		t.Error("nil message must have no tag")
 	}
 }
+
+// TestDecodeRejectsOutOfRangeEnums: every one-byte enum field of every
+// message type rejects a value outside its enum at decode, so a hostile or
+// corrupt peer cannot hand a queue manager a protocol it has no case for or
+// index a per-protocol array out of range. Each row encodes the message
+// twice with the field at two adjacent valid values; the one differing byte
+// is the field, which is then overwritten with each bad value.
+func TestDecodeRejectsOutOfRangeEnums(t *testing.T) {
+	txn := TxnID{Site: 1, Seq: 7}
+	c := CopyID{Item: 3, Site: 2}
+	submit := func(p Protocol) Message {
+		return SubmitTxnMsg{Txn: NewTxn(txn, p, []ItemID{1}, []ItemID{2}, 100)}
+	}
+	rows := []struct {
+		name   string
+		lo, hi Message
+		bad    []byte
+	}{
+		{"RequestMsg.Protocol",
+			RequestMsg{Txn: txn, Copy: c, Protocol: TwoPL}, RequestMsg{Txn: txn, Copy: c, Protocol: TO},
+			[]byte{byte(ROSnapshot), 9, 255}},
+		{"RequestMsg.Kind",
+			RequestMsg{Txn: txn, Copy: c, Kind: OpRead}, RequestMsg{Txn: txn, Copy: c, Kind: OpWrite},
+			[]byte{2, 255}},
+		{"GrantMsg.Lock",
+			GrantMsg{Txn: txn, Copy: c, Lock: RL}, GrantMsg{Txn: txn, Copy: c, Lock: WL},
+			[]byte{4, 255}},
+		{"SubmitTxnMsg.Txn.Protocol", submit(TwoPL), submit(TO), []byte{NumProtocols, 9, 255}},
+		{"TxnDoneMsg.Protocol",
+			TxnDoneMsg{Txn: txn, Protocol: TwoPL}, TxnDoneMsg{Txn: txn, Protocol: TO},
+			[]byte{NumProtocols, 9, 255}},
+		{"TxnDoneMsg.Outcome",
+			TxnDoneMsg{Txn: txn, Outcome: OutcomeCommitted}, TxnDoneMsg{Txn: txn, Outcome: OutcomeRejected},
+			[]byte{byte(OutcomeBusy) + 1, 255}},
+		{"TxnDoneMsg.RejectKind",
+			TxnDoneMsg{Txn: txn, RejectKind: OpRead}, TxnDoneMsg{Txn: txn, RejectKind: OpWrite},
+			[]byte{2, 255}},
+	}
+	for _, row := range rows {
+		lo, err := AppendMessage(nil, row.lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi, err := AppendMessage(nil, row.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := -1
+		for i := range lo {
+			if lo[i] != hi[i] {
+				if at >= 0 || len(lo) != len(hi) {
+					t.Fatalf("%s: encodings differ in more than the enum byte", row.name)
+				}
+				at = i
+			}
+		}
+		if at < 0 {
+			t.Fatalf("%s: encodings identical", row.name)
+		}
+		for _, v := range []byte{lo[at], hi[at]} {
+			in := bytes.Clone(lo)
+			in[at] = v
+			r := NewWireReader(in[1:])
+			if _, err := DecodeMessage(WireTag(in[0]), &r); err != nil {
+				t.Fatalf("%s: valid value %d rejected: %v", row.name, v, err)
+			}
+		}
+		for _, v := range row.bad {
+			in := bytes.Clone(lo)
+			in[at] = v
+			r := NewWireReader(in[1:])
+			m, err := DecodeMessage(WireTag(in[0]), &r)
+			if !errors.Is(err, ErrWireCorrupt) {
+				t.Errorf("%s = %d: decoded %+v, err %v; want ErrWireCorrupt", row.name, v, m, err)
+			}
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 type Policy string
 
 const (
-	// RoundRobin places item i's r-th copy at sites[(i+r) mod len(sites)] —
-	// the historical storage.Catalog layout, and the default.
+	// RoundRobin places item i's r-th copy at sites[(i+r) mod len(sites)];
+	// the default.
 	RoundRobin Policy = "round-robin"
 	// Range places items in contiguous equal ranges, one range per site,
 	// with additional copies at the following sites (wrapping).
@@ -53,8 +53,7 @@ func fnv32(item model.ItemID) uint32 {
 }
 
 // Build constructs the epoch-0 partition map: items copies over sites under
-// policy, replicas copies per item (clamped to [1, len(sites)], matching the
-// historical catalog). Panics on an empty site list or unknown policy —
+// policy, replicas copies per item (clamped to [1, len(sites)]). Panics on an empty site list or unknown policy —
 // callers validate config first.
 func Build(policy Policy, items int, sites []model.SiteID, replicas int) *model.PartitionMap {
 	if len(sites) == 0 {

@@ -113,7 +113,7 @@ func TestConcurrentPooledLifecycleRecycling(t *testing.T) {
 					model.RecycleMessage(rel)
 				}
 				ctx.recycleSent()
-				rec.Committed(txn, model.PA)
+				rec.Committed(txn, model.PA, ts)
 			}
 		}(w)
 	}

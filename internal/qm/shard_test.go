@@ -128,7 +128,7 @@ func TestShardedManagerParallelTraffic(t *testing.T) {
 					Txn: txn, Copy: model.CopyID{Item: item, Site: 0},
 					HasWrite: true, Value: int64(n), CommitMicros: int64(n + 1),
 				})
-				rec.Committed(txn, model.PA)
+				rec.Committed(txn, model.PA, model.Timestamp(n+1))
 			}
 		}(s)
 	}

@@ -273,9 +273,6 @@ type Issuer struct {
 	// every terminal transaction event (closed-loop pacing). Only set when
 	// a closed-loop driver is actually registered at this site.
 	notifyDriver bool
-	// finalTS remembers the committed timestamp of T/O and PA transactions
-	// (test oracle for the timestamp-order invariant).
-	finalTS map[model.TxnID]model.Timestamp
 
 	// adm is the admission controller (nil when Options.Admission is off).
 	adm *admission
@@ -330,7 +327,6 @@ func New(site model.SiteID, pm *model.PartitionMap, recorder *history.Recorder, 
 		choose:   choose,
 		active:   map[model.TxnID]*txnState{},
 		roActive: map[model.TxnID]*roState{},
-		finalTS:  map[model.TxnID]model.Timestamp{},
 	}
 	if opts.Admission.Enabled {
 		iss.adm = newAdmission(opts.Admission)
@@ -456,14 +452,6 @@ func (ri *Issuer) finished(ctx engine.Context, id model.TxnID) {
 	if ri.notifyDriver {
 		ctx.Send(engine.DriverAddr(ri.site), model.TxnFinishedMsg{Txn: id})
 	}
-}
-
-// FinalTimestamp reports the committed timestamp of a T/O or PA transaction.
-func (ri *Issuer) FinalTimestamp(id model.TxnID) (model.Timestamp, bool) {
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	ts, ok := ri.finalTS[id]
-	return ts, ok
 }
 
 // OnMessage implements engine.Actor.
@@ -650,7 +638,7 @@ func (ri *Issuer) finishRO(ctx engine.Context, s *roState) {
 		ri.adm.onCommit(ctx.NowMicros(), ctx.NowMicros()-s.arrival)
 	}
 	if ri.recorder != nil {
-		ri.recorder.Committed(s.txn.ID, model.ROSnapshot)
+		ri.recorder.Committed(s.txn.ID, model.ROSnapshot, model.NoTimestamp)
 	}
 	now := ctx.NowMicros()
 	ctx.Send(engine.CollectorAddr(), model.TxnDoneMsg{
@@ -1307,10 +1295,7 @@ func (ri *Issuer) markExecuted(ctx engine.Context, s *txnState) {
 		ri.adm.onCommit(ctx.NowMicros(), ctx.NowMicros()-s.firstArrival)
 	}
 	if ri.recorder != nil {
-		ri.recorder.Committed(s.txn.ID, s.txn.Protocol)
-	}
-	if s.txn.Protocol != model.TwoPL {
-		ri.finalTS[s.txn.ID] = s.expectTS
+		ri.recorder.Committed(s.txn.ID, s.txn.Protocol, s.expectTS)
 	}
 	ri.reportAttempt(ctx, s, model.OutcomeCommitted, model.OpRead)
 }
@@ -1324,10 +1309,7 @@ func (ri *Issuer) finish(ctx engine.Context, s *txnState) {
 			ri.adm.onCommit(ctx.NowMicros(), ctx.NowMicros()-s.firstArrival)
 		}
 		if ri.recorder != nil {
-			ri.recorder.Committed(s.txn.ID, s.txn.Protocol)
-		}
-		if s.txn.Protocol != model.TwoPL {
-			ri.finalTS[s.txn.ID] = s.expectTS
+			ri.recorder.Committed(s.txn.ID, s.txn.Protocol, s.expectTS)
 		}
 		ri.reportAttempt(ctx, s, model.OutcomeCommitted, model.OpRead)
 	}

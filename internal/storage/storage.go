@@ -402,51 +402,3 @@ func (s *Store) mustGet(item model.ItemID) *copyState {
 	}
 	return c
 }
-
-// Catalog is a frozen epoch-0 view of a partition map, kept for back-compat
-// with callers that predate versioned placement. Live components route by
-// model.PartitionMap (built and evolved by internal/placement); a Catalog
-// can never change epoch, so it is only suitable where the placement is
-// known to be static for the component's lifetime (storage-level tests,
-// single-map tools).
-type Catalog struct {
-	pm *model.PartitionMap
-}
-
-// NewCatalog builds the frozen round-robin placement: each of items 0..
-// items-1 on replicas consecutive data sites, item i's r-th copy at
-// dataSites[(i+r) mod len(dataSites)] — the same layout
-// placement.Build(placement.RoundRobin, ...) produces at epoch 0.
-func NewCatalog(items int, dataSites []model.SiteID, replicas int) *Catalog {
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(dataSites) {
-		replicas = len(dataSites)
-	}
-	pm := &model.PartitionMap{Assignments: make([][]model.SiteID, items)}
-	for i := 0; i < items; i++ {
-		at := make([]model.SiteID, replicas)
-		for r := 0; r < replicas; r++ {
-			at[r] = dataSites[(i+r)%len(dataSites)]
-		}
-		pm.Assignments[i] = at
-	}
-	return &Catalog{pm: pm}
-}
-
-// Map returns the underlying epoch-0 partition map.
-func (c *Catalog) Map() *model.PartitionMap { return c.pm }
-
-// Replicas returns the sites holding copies of item (primary first).
-func (c *Catalog) Replicas(item model.ItemID) []model.SiteID { return c.pm.Replicas(item) }
-
-// Primary returns the first replica site for item; read-one/write-all reads
-// go here (deterministically, so simulations are reproducible).
-func (c *Catalog) Primary(item model.ItemID) model.SiteID { return c.pm.Primary(item) }
-
-// Items returns the number of logical items.
-func (c *Catalog) Items() int { return c.pm.Items() }
-
-// CopiesAt returns the items that have a copy at the given site.
-func (c *Catalog) CopiesAt(site model.SiteID) []model.ItemID { return c.pm.CopiesAt(site) }

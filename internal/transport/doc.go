@@ -15,22 +15,17 @@
 // byte, then — after the listener's one-byte ack — a stream of
 // length-prefixed binary frames (internal/wire: stable per-message tags,
 // explicit varint field encoders, pooled buffers, no reflection; zero
-// steady-state encode allocations for the fixed-shape hot-path messages,
-// ~16x gob's encode+decode throughput at ~1/5 the bytes). Frames carrying a
-// message tag this build doesn't know are skipped, not fatal — a newer
-// peer's appended types must not sever mixed-version v3 streams mid-upgrade.
-// Version 2 — a gob stream of WireEnvelope values — is
-// retained in both directions for rolling upgrades: a v3 listener speaks gob
-// to a v2 dialer, and a v3 dialer whose ack read fails (an old listener
-// closes on the unknown version byte) redials speaking v2. Version choice is
-// per connection and re-probed on every dial, so an upgraded peer is picked
-// up at the next reconnect. Readers drop connections with an unknown version
-// byte rather than decode a misframed stream; Node.Wire() exposes
-// metrics.WireCounters (msgs/bytes each way, v3 vs fallback conns).
+// steady-state encode allocations for the fixed-shape hot-path messages).
+// Frames carrying a message tag this build doesn't know are skipped, not
+// fatal — a newer peer's appended types must not sever mixed-version
+// streams mid-upgrade. A listener drops a connection whose version byte is
+// not 3 rather than decode a misframed stream, and a dial whose handshake
+// gets no ack fails like any other failed dial. Node.Wire() exposes
+// metrics.WireCounters (msgs/bytes each way, handshaken conns).
 //
 // Failure model: messages are best-effort with one retry. A batch that
-// fails mid-write retires its connection — socket, buffered writer, and
-// encoder are all discarded together, so a half-written frame cannot leak
+// fails mid-write retires its connection — socket and buffered writer are
+// discarded together, so a half-written frame cannot leak
 // into a replacement connection's stream — and is re-sent whole on a fresh
 // dial exactly once. A genuinely down peer drops traffic (the protocol
 // tolerates that as a crashed site), but a dropped batch's sheddable

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,83 +17,27 @@ import (
 	"ucc/internal/wire"
 )
 
-func init() { model.RegisterGob() }
-
-// WireVersion is the first byte a dialer writes on a fresh connection.
-// Version 3 is the hand-rolled binary codec (internal/wire): length-prefixed
-// frames of explicitly-encoded envelopes, no reflection, pooled buffers.
-// Version 2 — pipelined gob streams — remains fully supported in both
-// directions for rolling upgrades: a v3 listener speaks gob to a v2 dialer,
-// and a v3 dialer falls back to a v2 gob stream when the peer never
-// acknowledges v3 (see negotiation below). A reader that sees any other
-// version byte closes the connection instead of feeding misframed bytes to a
-// decoder.
+// WireVersion is the first byte a dialer writes on a fresh connection: the
+// wire-v3 binary codec (internal/wire), length-prefixed frames of
+// explicitly-encoded envelopes, no reflection, pooled buffers. A listener
+// that reads any other byte closes the connection instead of feeding
+// misframed bytes to the decoder.
 const WireVersion byte = 3
 
-// WireVersionV2 is the legacy gob-stream version byte (protocol era of the
-// batched-wire PR). Spoken, never preferred.
-const WireVersionV2 byte = 2
-
-// wireAckV3 is the single byte a v3-capable listener writes back after
-// reading a v3 version byte. Its absence is how a dialer detects an older
-// peer: a v2 listener reads the unknown version byte and closes the
-// connection, so the dialer's ack read fails immediately and it redials
-// speaking v2. An ack is only ever written for v3 (v2 dialers never read
-// their outbound connections, so writing to them would be wasted but
-// harmless — it still isn't done, to keep the v2 byte stream exactly as the
-// old implementation produced it).
+// wireAckV3 is the single byte a listener writes back after reading the
+// version byte. It is the only byte a peer ever sends on a dialer's
+// connection; a dialer that does not get it treats the dial as failed.
 const wireAckV3 byte = 0xC3
 
-// negotiateTimeout bounds the dialer's wait for the v3 ack. A live v3 peer
-// acks in one RTT and a v2 peer closes in one RTT, so this only fires
-// against a peer that accepted the connection and then stalled — treated as
-// an old peer, which is safe either way: a v3 listener speaks v2 fine.
-var negotiateTimeout = 3 * time.Second
-
-// reprobeInterval bounds how long a fallback (gob) connection may live
-// before the writer voluntarily retires it between batches to re-negotiate.
-// Version choice is normally re-probed per dial, but a long-lived fallback
-// conn under steady traffic never redials — so a v3 peer that merely
-// STALLED through negotiation (startup storm, CPU starvation) would
-// otherwise pin the link to the ~16x-slower legacy codec forever. Old peers
-// pay one extra probe dial per interval, which is noise.
-var reprobeInterval = 5 * time.Minute
+// handshakeTimeout bounds the dialer's wait for the ack. A live peer acks
+// in one RTT, so this only fires against a peer that accepted the
+// connection and then stalled — or one that does not speak v3.
+const handshakeTimeout = 3 * time.Second
 
 // defaultBatchBytes is the mid-batch flush threshold: while draining a large
 // backlog the writer flushes whenever this much is buffered, bounding memory
 // and keeping the pipe busy instead of building one giant frame.
 const defaultBatchBytes = 64 << 10
-
-// WireEnvelope is the on-the-wire form of engine.Envelope for the legacy v2
-// gob stream. The v3 path encodes engine.Envelope directly through
-// internal/wire and never touches this struct, but its shape (and the gob
-// registrations in model.RegisterGob) must stay byte-compatible with old
-// builds for as long as v2 fallback is supported.
-type WireEnvelope struct {
-	FromKind  uint8
-	FromID    int32
-	FromShard uint8
-	ToKind    uint8
-	ToID      int32
-	ToShard   uint8
-	Msg       model.Message
-}
-
-func toWire(e engine.Envelope) WireEnvelope {
-	return WireEnvelope{
-		FromKind: uint8(e.From.Kind), FromID: int32(e.From.ID), FromShard: e.From.Shard,
-		ToKind: uint8(e.To.Kind), ToID: int32(e.To.ID), ToShard: e.To.Shard,
-		Msg: e.Msg,
-	}
-}
-
-func fromWire(w WireEnvelope) engine.Envelope {
-	return engine.Envelope{
-		From: engine.Addr{Kind: engine.ActorKind(w.FromKind), ID: model.SiteID(w.FromID), Shard: w.FromShard},
-		To:   engine.Addr{Kind: engine.ActorKind(w.ToKind), ID: model.SiteID(w.ToID), Shard: w.ToShard},
-		Msg:  w.Msg,
-	}
-}
 
 // Topology statically assigns every actor address to a named peer.
 type Topology struct {
@@ -161,11 +104,11 @@ func StandardAssign(clientPeer string) func(engine.Addr) string {
 //
 // Outbound wire path: envelopes for a peer are enqueued on that peer's
 // outbox and drained by one writer goroutine, which encodes every queued
-// envelope through a persistent pipelined gob encoder into a buffered
-// writer and flushes once per drained batch (or at BatchBytes mid-batch) —
-// one framed write instead of one syscall-sized write per envelope. Under
-// load the batch size grows naturally; when idle, a lone envelope flushes
-// immediately, adding no latency.
+// envelope as a v3 frame into a buffered writer and flushes once per
+// drained batch (or at BatchBytes mid-batch) — one framed write instead of
+// one syscall-sized write per envelope. Under load the batch size grows
+// naturally; when idle, a lone envelope flushes immediately, adding no
+// latency.
 type Node struct {
 	self       string
 	topo       Topology
@@ -175,10 +118,6 @@ type Node struct {
 	// this long before flushing, trading latency for bigger coalesced
 	// writes. Zero (the default) flushes as soon as the outbox drains.
 	batchDelay time.Duration
-	// preferVersion is the wire version outbound connections open with
-	// (default WireVersion). Tests and benchmarks set WireVersionV2 to pin a
-	// connection to the legacy gob stream without a legacy peer.
-	preferVersion byte
 
 	mu       sync.Mutex
 	senders  map[string]*peerSender
@@ -211,7 +150,7 @@ type Node struct {
 	sentEnvelopes atomic.Uint64
 	flushes       atomic.Uint64
 	// wireStats counts codec-level traffic: envelopes/bytes each way and
-	// how outbound connections negotiated (v3 vs v2 fallback).
+	// outbound connections opened.
 	wireStats metrics.WireCounters
 	// droppedSends counts every envelope the transport discarded — cap
 	// evictions plus whole batches dropped on an unreachable peer;
@@ -223,9 +162,9 @@ type Node struct {
 // peerSender owns the outbox and the single writer goroutine for one peer.
 // The writer is the only goroutine that ever touches the peer's connection
 // or encoder, which is what makes reconnection safe: a retired connection's
-// half-written frame dies with its socket and its encoder; the replacement
-// gets a fresh socket, a fresh buffered writer, and a fresh gob stream, so
-// no stale bytes can interleave with the new connection's first batch.
+// half-written frame dies with its socket and its buffered writer; the
+// replacement gets a fresh socket and a fresh buffered writer, so no stale
+// bytes can interleave with the new connection's first batch.
 type peerSender struct {
 	n    *Node
 	peer string
@@ -252,11 +191,10 @@ func NewNode(rt *engine.Runtime, self, listenAddr string, topo Topology) (*Node,
 	}
 	n := &Node{
 		self: self, topo: topo, rt: rt,
-		batchBytes:    defaultBatchBytes,
-		preferVersion: WireVersion,
-		senders:       map[string]*peerSender{},
-		outbound:      map[net.Conn]bool{},
-		inbound:       map[net.Conn]bool{},
+		batchBytes: defaultBatchBytes,
+		senders:    map[string]*peerSender{},
+		outbound:   map[net.Conn]bool{},
+		inbound:    map[net.Conn]bool{},
 	}
 	rt.SetUplink(n.forward)
 	if listenAddr != "" {
@@ -283,14 +221,14 @@ func (n *Node) SetBatching(flushBytes int, delay time.Duration) {
 
 // BatchStats reports (envelopes sent over the wire, flushes performed). The
 // ratio is the coalescing factor; envelopes/flushes = 1 means no batching
-// happened (idle traffic), larger means the pipelined encoder amortized
-// syscalls across that many envelopes.
+// happened (idle traffic), larger means one flush amortized syscalls
+// across that many envelopes.
 func (n *Node) BatchStats() (envelopes, flushes uint64) {
 	return n.sentEnvelopes.Load(), n.flushes.Load()
 }
 
 // Wire exposes the codec-level counters: envelopes and bytes each way, plus
-// how outbound connections negotiated (v3 binary vs v2 gob fallback).
+// the number of outbound connections that completed the v3 handshake.
 func (n *Node) Wire() *metrics.WireCounters { return &n.wireStats }
 
 // SetSendQueueCap bounds every peer outbox to cap envelopes; an enqueue at
@@ -346,11 +284,8 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop serves one inbound connection. The first byte selects the
-// protocol era: v3 acks and reads binary frames; v2 reads the legacy gob
-// stream (an old dialer never learns the listener upgraded — that is the
-// point); anything else is dropped. Both eras feed the same Inject path, so
-// the rest of the node cannot tell which codec a message arrived through.
+// readLoop serves one inbound connection: a v3 version byte is acked and
+// followed by binary frames; anything else drops the connection.
 func (n *Node) readLoop(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -359,97 +294,39 @@ func (n *Node) readLoop(c net.Conn) {
 		delete(n.inbound, c)
 		n.mu.Unlock()
 	}()
-	// The version byte is read raw, before any bufio exists: the v2 branch
-	// must arm its byte counter before the first buffered fill, or a short
-	// stream prefetched alongside the version byte would go uncounted.
-	var vb [1]byte
-	if _, err := io.ReadFull(c, vb[:]); err != nil {
-		return
-	}
-	cr := &countingReader{r: c}
-	br := bufio.NewReader(cr)
-	switch vb[0] {
-	case WireVersion:
-		// Ack v3 so the dialer knows not to fall back (an older listener
-		// would have closed the connection instead of answering).
-		if _, err := c.Write([]byte{wireAckV3}); err != nil {
-			return
-		}
-		rd := wire.NewReader(br)
-		defer rd.Release()
-		for {
-			// BytesIn counts decoded frame bytes — the frame layer, matching
-			// BytesOut on the sending side — not raw socket reads, which
-			// would include read-ahead for frames never decoded.
-			env, frameBytes, err := rd.ReadEnvelope()
-			if errors.Is(err, model.ErrWireUnknownTag) {
-				// A message type appended by a NEWER build: the frame was
-				// fully consumed (length-prefixed for exactly this reason),
-				// so skip it and keep the stream — severing would drop the
-				// whole batch around it and melt a mixed-version v3 fleet
-				// into a redial loop during rolling upgrades. This node
-				// couldn't have processed the message anyway. Skipped frames
-				// count only in UnknownIn — adding their bytes to BytesIn
-				// with no MsgsIn would skew B/msg.
-				n.wireStats.UnknownIn.Add(1)
-				continue
-			}
-			if err != nil {
-				return // EOF, torn frame, or corrupt input: drop the conn
-			}
-			n.wireStats.BytesIn.Add(uint64(frameBytes))
-			n.wireStats.MsgsIn.Add(1)
-			//ucclint:allow postnotinject -- terminal inbound delivery: this node is the envelope's destination; Post would re-route through the topology
-			n.rt.Inject(env)
-		}
-	case WireVersionV2:
-		// The legacy gob stream has no frame sizes; count at the socket
-		// layer instead (approximate: includes gob's type dictionaries).
-		cr.n = &n.wireStats.BytesIn
-		dec := gob.NewDecoder(br)
-		for {
-			var w WireEnvelope
-			if err := dec.Decode(&w); err != nil {
-				return
-			}
-			n.wireStats.MsgsIn.Add(1)
-			//ucclint:allow postnotinject -- terminal inbound delivery on the legacy stream: same argument as the v3 read loop above
-			n.rt.Inject(fromWire(w))
-		}
-	default:
+	br := bufio.NewReader(c)
+	if vb, err := br.ReadByte(); err != nil || vb != WireVersion {
 		return // wrong protocol era (or a port scanner); drop the conn
 	}
-}
-
-// countingReader counts bytes as they leave the kernel for the decoder —
-// while n is nil, reads pass through uncounted (the v3 path counts decoded
-// frames instead; only the read loop's own goroutine ever sets n).
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 && c.n != nil {
-		c.n.Add(uint64(n))
+	if _, err := c.Write([]byte{wireAckV3}); err != nil {
+		return
 	}
-	return n, err
-}
-
-// countingWriter counts bytes as the buffered writer flushes them toward the
-// kernel.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	if n > 0 {
-		c.n.Add(uint64(n))
+	rd := wire.NewReader(br)
+	defer rd.Release()
+	for {
+		// BytesIn counts decoded frame bytes — the frame layer, matching
+		// BytesOut on the sending side — not raw socket reads, which would
+		// include read-ahead for frames never decoded.
+		env, frameBytes, err := rd.ReadEnvelope()
+		if errors.Is(err, model.ErrWireUnknownTag) {
+			// A message type appended by a NEWER build: the frame was fully
+			// consumed (length-prefixed for exactly this reason), so skip it
+			// and keep the stream — severing would drop the whole batch
+			// around it and melt a mixed-version fleet into a redial loop
+			// during rolling upgrades. This node couldn't have processed the
+			// message anyway. Skipped frames count only in UnknownIn — adding
+			// their bytes to BytesIn with no MsgsIn would skew B/msg.
+			n.wireStats.UnknownIn.Add(1)
+			continue
+		}
+		if err != nil {
+			return // EOF, torn frame, or corrupt input: drop the conn
+		}
+		n.wireStats.BytesIn.Add(uint64(frameBytes))
+		n.wireStats.MsgsIn.Add(1)
+		//ucclint:allow postnotinject -- terminal inbound delivery: this node is the envelope's destination; Post would re-route through the topology
+		n.rt.Inject(env)
 	}
-	return n, err
 }
 
 // forward routes an envelope produced by the local runtime: local
@@ -552,88 +429,51 @@ func (ps *peerSender) tryTake() []engine.Envelope {
 	return batch
 }
 
-// conn bundles the per-connection encoding state. It is rebuilt from scratch
-// on every (re)dial — see peerSender for why reuse would corrupt the stream.
-// Exactly one of (v3, enc) is non-nil: the codec this connection negotiated.
+// peerConn bundles the per-connection encoding state. It is rebuilt from
+// scratch on every (re)dial — see peerSender for why reuse would corrupt the
+// stream.
 type peerConn struct {
-	c   net.Conn
-	bw  *bufio.Writer
-	v3  *wire.Writer // wire v3 framed binary
-	enc *gob.Encoder // legacy v2 gob fallback
-	// reprobeAt, set only on fallback connections, is when the writer
-	// retires this conn between batches to re-negotiate (see
-	// reprobeInterval). Zero on v3 and pinned-v2 connections.
-	reprobeAt time.Time
+	c  net.Conn
+	bw *bufio.Writer
+	w  *wire.Writer
 }
 
-// connect dials the peer and negotiates the wire version. The dialer writes
-// its preferred version byte (3) raw on the socket and waits briefly for the
-// listener's ack byte:
-//
-//   - ack arrives  → the peer is v3-capable; speak binary frames.
-//   - the peer closes (or never answers) → it is an older build whose read
-//     loop rejected the unknown version byte; redial and speak the v2 gob
-//     stream it expects. The fallback is re-probed on every dial, so a peer
-//     that restarts upgraded is picked up at the next reconnect.
-//
-// A mistaken fallback (slow ack) is safe: v3 listeners keep the full v2 read
-// path. The close-detection drain goroutine starts only after negotiation —
-// the ack is the one byte a peer ever sends on a dialer's connection, and
-// the negotiation read must be the one to consume it.
+// connect dials the peer and runs the v3 handshake: the dialer writes the
+// version byte raw on the socket and waits briefly for the listener's ack.
+// A peer that closes on the byte, answers with anything else, or never
+// answers fails the dial exactly like an unreachable one — the caller drops
+// and NAKs the batch, and the next batch redials. The close-detection drain
+// goroutine starts only after the handshake: the ack is the one byte a peer
+// ever sends on a dialer's connection, and the handshake read must be the
+// one to consume it.
 func (ps *peerSender) connect() (*peerConn, error) {
 	n := ps.n
-	fellBack := false
-	if n.preferVersion != WireVersionV2 {
-		c, err := n.dialRaw(ps.peer)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := c.Write([]byte{WireVersion}); err != nil {
-			n.unregister(c)
-			return nil, err
-		}
-		var ack [1]byte
-		c.SetReadDeadline(time.Now().Add(negotiateTimeout))
-		_, ackErr := io.ReadFull(c, ack[:])
-		c.SetReadDeadline(time.Time{})
-		if ackErr == nil && ack[0] == wireAckV3 {
-			n.startDrain(c)
-			// No counting writer: v3 BytesOut is counted per frame on batch
-			// success (writeBatch), matching the receiver's frame-layer
-			// count — socket-layer counting would re-count a batch retried
-			// across a reconnect after a mid-batch flush.
-			bw := bufio.NewWriterSize(c, n.batchBytes)
-			n.wireStats.V3Conns.Add(1)
-			return &peerConn{c: c, bw: bw, v3: wire.NewWriter(bw)}, nil
-		}
-		// No ack: an older peer closed on the v3 byte. Redial speaking v2.
-		n.unregister(c)
-		fellBack = true
-	}
-	c2, err := n.dialRaw(ps.peer)
+	c, err := n.dialRaw(ps.peer)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c2.Write([]byte{WireVersionV2}); err != nil {
-		n.unregister(c2)
+	if _, err := c.Write([]byte{WireVersion}); err != nil {
+		n.unregister(c)
 		return nil, err
 	}
-	n.startDrain(c2)
-	// The gob stream has no frames, so v2 bytes are counted at the socket
-	// layer (approximate, and may re-count a retried batch — the stream
-	// being measured is the legacy cost).
-	bw := bufio.NewWriterSize(&countingWriter{w: c2, n: &n.wireStats.BytesOut}, n.batchBytes)
-	pc := &peerConn{c: c2, bw: bw, enc: gob.NewEncoder(bw)}
-	if fellBack {
-		// Only a real failed negotiation counts: a caller that PINNED v2
-		// (preferVersion knob) never fell back, and the counter's meaning —
-		// "old peers still in the fleet" — must survive the knob. Fallback
-		// conns also carry a re-probe deadline so a stalled-but-v3 peer is
-		// not pinned to the legacy codec for the connection's lifetime.
-		n.wireStats.V2Fallbacks.Add(1)
-		pc.reprobeAt = time.Now().Add(reprobeInterval)
+	var ack [1]byte
+	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	_, err = io.ReadFull(c, ack[:])
+	c.SetReadDeadline(time.Time{})
+	if err == nil && ack[0] != wireAckV3 {
+		err = fmt.Errorf("transport: peer %s acked with %#x, want %#x", ps.peer, ack[0], wireAckV3)
 	}
-	return pc, nil
+	if err != nil {
+		n.unregister(c)
+		return nil, err
+	}
+	n.startDrain(c)
+	// BytesOut is counted per frame on batch success (writeBatch), matching
+	// the receiver's frame-layer count — socket-layer counting would
+	// re-count a batch retried across a reconnect after a mid-batch flush.
+	bw := bufio.NewWriterSize(c, n.batchBytes)
+	n.wireStats.V3Conns.Add(1)
+	return &peerConn{c: c, bw: bw, w: wire.NewWriter(bw)}, nil
 }
 
 // run is the writer loop: take the backlog, encode it all, flush once.
@@ -656,9 +496,7 @@ func (ps *peerSender) run() {
 	var pc *peerConn
 	retire := func() {
 		if pc != nil {
-			if pc.v3 != nil {
-				pc.v3.Release() // scratch buffer back to the codec pool
-			}
+			pc.w.Release() // scratch buffer back to the codec pool
 			pc.c.Close()
 			ps.n.mu.Lock()
 			delete(ps.n.outbound, pc.c)
@@ -691,21 +529,14 @@ func (ps *peerSender) run() {
 				sent = true
 				break
 			}
-			// The connection is dead: retire it — along with its encoder and
-			// any half-written frame buffered for it — and retry the whole
-			// batch exactly once on a fresh dial.
+			// The connection is dead: retire it — along with any
+			// half-written frame buffered for it — and retry the whole batch
+			// exactly once on a fresh dial.
 			retire()
 		}
 		if !sent {
 			ps.n.droppedSends.Add(uint64(len(batch)))
 			ps.n.nakBatch(batch)
-		}
-		if sent && pc != nil && !pc.reprobeAt.IsZero() && time.Now().After(pc.reprobeAt) {
-			// The fallback conn aged out: retire it at a batch boundary so
-			// the next batch redials and re-negotiates — an upgraded (or
-			// merely recovered) peer gets its v3 stream back without waiting
-			// for an I/O error that steady traffic may never produce.
-			retire()
 		}
 	}
 }
@@ -741,8 +572,8 @@ func busyNAK(env engine.Envelope) (engine.Envelope, bool) {
 	return engine.Envelope{From: env.To, To: env.From, Msg: sh.Busy()}, true
 }
 
-// writeBatch encodes one batch through the connection's pipelined encoder
-// and flushes once at the end, plus at BatchBytes boundaries so a huge
+// writeBatch encodes one batch into the connection's buffered writer and
+// flushes once at the end, plus at BatchBytes boundaries so a huge
 // backlog cannot buffer unboundedly. Envelopes that arrive while encoding
 // simply form the next batch — the writer loop takes them on its next
 // iteration, so they are never orphaned by a retry of the current batch.
@@ -761,33 +592,27 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 	frameBytes := uint64(0)
 	for i := 0; i < len(batch); {
 		env := batch[i]
-		if pc.v3 != nil {
-			nb, err := pc.v3.WriteEnvelope(env)
-			if err != nil {
-				var ee *wire.EncodeError
-				if errors.As(err, &ee) {
-					// Unencodable (no wire tag, oversized frame): drop it and
-					// keep the stream alive — a retry would fail identically
-					// and melt the writer into a redial loop. Like every other
-					// transport drop, a sheddable envelope is NAK'd back to
-					// its local sender; silence would strand the issuer's
-					// attempt in negotiation forever.
-					ps.n.droppedSends.Add(1)
-					if nak, ok := busyNAK(env); ok {
-						//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAK only produces locally-addressed envelopes
-						ps.n.rt.Inject(nak)
-					}
-					batch = append(batch[:i], batch[i+1:]...)
-					continue
+		nb, err := pc.w.WriteEnvelope(env)
+		if err != nil {
+			var ee *wire.EncodeError
+			if errors.As(err, &ee) {
+				// Unencodable (no wire tag, oversized frame): drop it and keep
+				// the stream alive — a retry would fail identically and melt
+				// the writer into a redial loop. Like every other transport
+				// drop, a sheddable envelope is NAK'd back to its local
+				// sender; silence would strand the issuer's attempt in
+				// negotiation forever.
+				ps.n.droppedSends.Add(1)
+				if nak, ok := busyNAK(env); ok {
+					//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAK only produces locally-addressed envelopes
+					ps.n.rt.Inject(nak)
 				}
-				return batch, err
+				batch = append(batch[:i], batch[i+1:]...)
+				continue
 			}
-			frameBytes += uint64(nb)
-		} else {
-			if err := pc.enc.Encode(toWire(env)); err != nil {
-				return batch, err
-			}
+			return batch, err
 		}
+		frameBytes += uint64(nb)
 		i++
 		if pc.bw.Buffered() >= ps.n.batchBytes {
 			flushes++
@@ -803,16 +628,16 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 	ps.n.wireStats.MsgsOut.Add(uint64(len(batch)))
 	// Frame-layer byte count, success-only like MsgsOut, so a batch retried
 	// across a reconnect is never double-counted and sender/receiver B/msg
-	// agree (the v2 gob path counts at the socket via countingWriter instead).
+	// agree.
 	ps.n.wireStats.BytesOut.Add(frameBytes)
 	ps.n.flushes.Add(flushes + 1)
 	return batch, nil
 }
 
 // dialRaw opens a fresh connection to peer and registers it for Close()
-// teardown, but starts no reader: the caller negotiates the wire version
-// first (the negotiation read must be the one that consumes the listener's
-// ack byte), then hands the connection to startDrain.
+// teardown, but starts no reader: the caller runs the handshake first (its
+// read must be the one that consumes the listener's ack byte), then hands
+// the connection to startDrain.
 func (n *Node) dialRaw(peer string) (net.Conn, error) {
 	n.mu.Lock()
 	if n.closed {
@@ -840,7 +665,7 @@ func (n *Node) dialRaw(peer string) (net.Conn, error) {
 }
 
 // unregister closes and forgets a connection that never reached startDrain
-// (failed negotiation, failed version-byte write).
+// (failed handshake, failed version-byte write).
 func (n *Node) unregister(c net.Conn) {
 	c.Close()
 	n.mu.Lock()
@@ -848,9 +673,9 @@ func (n *Node) unregister(c net.Conn) {
 	n.mu.Unlock()
 }
 
-// startDrain attaches the close-detection reader to a negotiated outbound
+// startDrain attaches the close-detection reader to a handshaken outbound
 // connection. Outbound connections carry no inbound traffic after the
-// negotiation ack (each peer sends on its own dials), so a blocked read
+// ack (each peer sends on its own dials), so a blocked read
 // detects the peer closing — crash or restart — the moment it happens.
 // Without it, writes into a dead connection keep "succeeding" until the
 // kernel surfaces the RST, silently losing every message in between.

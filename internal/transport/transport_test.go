@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -10,6 +10,7 @@ import (
 
 	"ucc/internal/engine"
 	"ucc/internal/model"
+	"ucc/internal/wire"
 )
 
 type recorder struct {
@@ -34,8 +35,34 @@ func (s *relay) OnMessage(ctx engine.Context, from engine.Addr, msg model.Messag
 	ctx.Send(s.to, msg)
 }
 
+func siteAssign(a engine.Addr) string { return fmt.Sprintf("site%d", a.ID) }
+
+func waitRecorder(t *testing.T, r *recorder, what string) {
+	t.Helper()
+	select {
+	case <-r.done:
+	case <-time.After(10 * time.Second):
+		r.mu.Lock()
+		n := len(r.got)
+		r.mu.Unlock()
+		t.Fatalf("%s: timed out with %d/%d messages", what, n, r.want)
+	}
+}
+
+// waitMsgsOut waits until n's writer has counted at least want envelopes
+// sent. The writer counts a batch after its flush returns, which can trail
+// the receiver's delivery of that batch.
+func waitMsgsOut(t *testing.T, n *Node, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Wire().Snapshot().MsgsOut < want && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCrossProcessDelivery wires two runtimes over real TCP sockets and
-// checks ordered delivery of typed messages in both directions.
+// checks ordered delivery of typed messages, plus the codec counters on
+// both ends of the link.
 func TestCrossProcessDelivery(t *testing.T) {
 	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
 	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
@@ -100,6 +127,69 @@ func TestCrossProcessDelivery(t *testing.T) {
 			t.Fatalf("copy id corrupted: %+v", req.Copy)
 		}
 	}
+
+	waitMsgsOut(t, nodeB, 50)
+	out, in := nodeB.Wire().Snapshot(), nodeA.Wire().Snapshot()
+	if out.V3Conns == 0 {
+		t.Fatalf("sender opened no v3 connection: %+v", out)
+	}
+	if out.MsgsOut != 50 || in.MsgsIn != 50 {
+		t.Fatalf("codec counters: out=%d in=%d, want 50 both", out.MsgsOut, in.MsgsIn)
+	}
+	if out.BytesOut == 0 || out.BytesOut != in.BytesIn {
+		t.Fatalf("frame bytes: out=%d in=%d, want equal and non-zero", out.BytesOut, in.BytesIn)
+	}
+	// A RequestMsg envelope frame is ~20 bytes.
+	if perMsg := out.BytesPerMsgOut(); perMsg > 64 {
+		t.Fatalf("v3 stream averages %.1f B/msg for small requests", perMsg)
+	}
+}
+
+// TestCompatV3ToV3: a dialer forwarding straight to a peer's listener
+// negotiates the v3 codec and counts every envelope and byte on both ends.
+func TestCompatV3ToV3(t *testing.T) {
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtA.Shutdown()
+	defer rtB.Shutdown()
+
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+
+	const total = 50
+	recv := &recorder{done: make(chan struct{}), want: total}
+	rtB.Register(engine.QMAddr(1), recv)
+	for i := 0; i < total; i++ {
+		nodeA.forward(engine.Envelope{
+			From: engine.RIAddr(0), To: engine.QMAddr(1),
+			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}, TS: model.Timestamp(i)},
+		})
+	}
+	waitRecorder(t, recv, "v3→v3")
+
+	waitMsgsOut(t, nodeA, total)
+	a, b := nodeA.Wire().Snapshot(), nodeB.Wire().Snapshot()
+	if a.V3Conns == 0 {
+		t.Fatalf("dialer opened no v3 connection: %+v", a)
+	}
+	if a.MsgsOut != total || b.MsgsIn != total {
+		t.Fatalf("codec counters: out=%d in=%d, want %d both", a.MsgsOut, b.MsgsIn, total)
+	}
+	if a.BytesOut == 0 || b.BytesIn == 0 {
+		t.Fatalf("byte counters stayed zero: out=%d in=%d", a.BytesOut, b.BytesIn)
+	}
+	// A RequestMsg envelope frame is ~20 bytes.
+	if perMsg := a.BytesPerMsgOut(); perMsg > 64 {
+		t.Fatalf("v3 stream averages %.1f B/msg for small requests", perMsg)
+	}
 }
 
 func TestLocalAssignShortCircuits(t *testing.T) {
@@ -155,13 +245,22 @@ func TestStandardAssign(t *testing.T) {
 	}
 }
 
+// TestWireRoundTrip: an envelope's addresses, shard index and payload
+// survive the v3 codec the transport frames with.
 func TestWireRoundTrip(t *testing.T) {
 	env := engine.Envelope{
 		From: engine.RIAddr(3),
 		To:   engine.QMShardAddr(7, 5),
 		Msg:  model.GrantMsg{Txn: model.TxnID{Site: 3, Seq: 9}, Lock: model.SWL, TS: 42},
 	}
-	got := fromWire(toWire(env))
+	payload, err := wire.AppendEnvelope(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.DecodeEnvelope(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.From != env.From || got.To != env.To {
 		t.Fatalf("addresses corrupted: %+v", got)
 	}
@@ -173,9 +272,19 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireVersionRejected: a peer speaking the wrong framing era must be
-// dropped before any gob bytes reach the decoder, not fed as a misframed
-// stream.
+// v3Frame returns env as one length-prefixed v3 frame.
+func v3Frame(t *testing.T, env engine.Envelope) []byte {
+	t.Helper()
+	p, err := wire.AppendEnvelope(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(model.AppendUvarint(nil, uint64(len(p))), p...)
+}
+
+// TestWireVersionRejected: a peer opening with any version byte but 3 —
+// the pre-batching era's 1, the gob era's 2 — is dropped unacked, and the
+// valid v3 frame that follows the byte is never decoded or delivered.
 func TestWireVersionRejected(t *testing.T) {
 	rt := engine.NewRuntime(engine.FixedLatency{}, 1)
 	defer rt.Shutdown()
@@ -188,20 +297,96 @@ func TestWireVersionRejected(t *testing.T) {
 	recv := &recorder{done: make(chan struct{}), want: 1}
 	rt.Register(engine.QMAddr(0), recv)
 
-	c, err := net.Dial("tcp", node.Addr())
-	if err != nil {
-		t.Fatal(err)
+	frame := v3Frame(t, engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}})
+	for _, version := range []byte{1, 2} {
+		c, err := net.Dial("tcp", node.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(append([]byte{version}, frame...))
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var b [1]byte
+		if n, err := c.Read(b[:]); err != io.EOF {
+			t.Fatalf("version %d: read %d bytes (%x), err %v; want the listener to close unacked", version, n, b[:n], err)
+		}
+		c.Close()
 	}
-	defer c.Close()
-	// Version byte 1 (the pre-batching era), then bytes that would decode as
-	// an envelope if the reader ignored the version.
-	c.Write([]byte{1})
-	enc := gob.NewEncoder(c)
-	enc.Encode(toWire(engine.Envelope{From: engine.RIAddr(1), To: engine.QMAddr(0), Msg: model.TickMsg{}}))
 	select {
 	case <-recv.done:
 		t.Fatal("envelope delivered despite version mismatch")
 	case <-time.After(200 * time.Millisecond):
+	}
+	if s := node.Wire().Snapshot(); s.MsgsIn != 0 || s.BytesIn != 0 {
+		t.Fatalf("rejected streams were decoded: %+v", s)
+	}
+}
+
+// TestDialWithoutAckNAKsSheddables: a listener that accepts and then closes
+// on the version byte — what a pre-v3 peer did — fails the dial like an
+// unreachable peer. The batch's sheddable envelopes come back to their
+// local sender as BusyMsg NAKs, no v3 connection is counted, and the peer
+// receives nothing beyond the version byte.
+func TestDialWithoutAckNAKsSheddables(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var extra int // bytes a peer sent after its version byte
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var vb [1]byte
+			io.ReadFull(c, vb[:])
+			c.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+			n, _ := io.Copy(io.Discard, c)
+			mu.Lock()
+			extra += int(n)
+			mu.Unlock()
+			c.Close()
+		}
+	}()
+
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	defer rtA.Shutdown()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": ln.Addr().String()}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+	const total = 3
+	naks := &recorder{done: make(chan struct{}), want: total}
+	rtA.Register(engine.RIAddr(0), naks)
+	for i := 0; i < total; i++ {
+		nodeA.forward(engine.Envelope{
+			From: engine.RIAddr(0), To: engine.QMAddr(1),
+			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: uint64(i)}},
+		})
+	}
+	waitRecorder(t, naks, "NAKs for a peer that never acked")
+	naks.mu.Lock()
+	for i, m := range naks.got {
+		if _, ok := m.(model.BusyMsg); !ok {
+			t.Fatalf("NAK %d is %T %+v, want BusyMsg", i, m, m)
+		}
+	}
+	naks.mu.Unlock()
+	if s := nodeA.Wire().Snapshot(); s.V3Conns != 0 || s.MsgsOut != 0 {
+		t.Fatalf("a dial without an ack counted as a connection: %+v", s)
+	}
+	if dropped, _ := nodeA.QueueStats(); dropped != total {
+		t.Fatalf("dropped = %d, want %d", dropped, total)
+	}
+	// Each dial's byte count is recorded before the listener closes it, and
+	// the close is what fails the dial, so every count is in by now.
+	mu.Lock()
+	defer mu.Unlock()
+	if extra != 0 {
+		t.Fatalf("peer received %d bytes after the version byte, want none", extra)
 	}
 }
 
@@ -249,6 +434,7 @@ func TestBatchCoalesces(t *testing.T) {
 		recv.mu.Unlock()
 		t.Fatalf("timed out: got %d/%d", n, total)
 	}
+	waitMsgsOut(t, nodeA, total)
 	envs, flushes := nodeA.BatchStats()
 	if envs != total {
 		t.Fatalf("sent %d envelopes, want %d", envs, total)
@@ -722,4 +908,129 @@ func TestSendDuringReconnect(t *testing.T) {
 	}
 	t.Logf("reconnect hammer: %d envelopes before bounce, %d after, %d dropped at the cap (high %d)",
 		n1, n2, dropped, high)
+}
+
+// rogueReq embeds RequestMsg (so it is Sheddable via the promoted Busy) but
+// is a distinct type with no wire tag — an unencodable sheddable envelope.
+type rogueReq struct{ model.RequestMsg }
+
+// TestEncodeFailureNAKsSheddable: a v3 per-envelope encode failure must
+// behave like every other transport drop — BusyMsg NAK'd back to the local
+// sender (silence would strand the attempt in negotiation forever), counted
+// dropped and NOT counted sent — while the stream stays alive for the rest
+// of the batch.
+func TestEncodeFailureNAKsSheddable(t *testing.T) {
+	rtA := engine.NewRuntime(engine.FixedLatency{}, 1)
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtA.Shutdown()
+	defer rtB.Shutdown()
+
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	nodeA, err := NewNode(rtA, "site0", "", Topology{Peers: map[string]string{"site1": nodeB.Addr()}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+
+	nakRecv := &recorder{done: make(chan struct{}), want: 1}
+	rtA.Register(engine.RIAddr(0), nakRecv)
+	okRecv := &recorder{done: make(chan struct{}), want: 1}
+	rtB.Register(engine.QMAddr(1), okRecv)
+
+	txn := model.TxnID{Site: 0, Seq: 9}
+	nodeA.forward(engine.Envelope{
+		From: engine.RIAddr(0), To: engine.QMAddr(1),
+		Msg: rogueReq{model.RequestMsg{Txn: txn, Attempt: 2, Copy: model.CopyID{Item: 3, Site: 1}}},
+	})
+	nodeA.forward(engine.Envelope{
+		From: engine.RIAddr(0), To: engine.QMAddr(1),
+		Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: 10}},
+	})
+
+	waitRecorder(t, okRecv, "good envelope after the encode drop")
+	waitRecorder(t, nakRecv, "NAK for the unencodable envelope")
+	nakRecv.mu.Lock()
+	nak, ok := nakRecv.got[0].(model.BusyMsg)
+	nakRecv.mu.Unlock()
+	if !ok || nak.Txn != txn || nak.Attempt != 2 {
+		t.Fatalf("NAK is %T %+v, want the rogue request's BusyMsg", nakRecv.got[0], nakRecv.got[0])
+	}
+	if dropped, _ := nodeA.QueueStats(); dropped != 1 {
+		t.Fatalf("droppedSends=%d, want 1", dropped)
+	}
+	waitMsgsOut(t, nodeA, 1)
+	if s := nodeA.Wire().Snapshot(); s.MsgsOut != 1 {
+		t.Fatalf("MsgsOut=%d counted the dropped envelope as sent", s.MsgsOut)
+	}
+	if envs, _ := nodeA.BatchStats(); envs != 1 {
+		t.Fatalf("BatchStats envelopes=%d counted the dropped envelope as sent", envs)
+	}
+}
+
+// TestUnknownTagFrameSkipped: a v3 frame carrying a message tag from a NEWER
+// build must be skipped — frames are length-prefixed precisely so the stream
+// survives — with the surrounding known frames delivered in order. Severing
+// would drop whole batches and redial-loop a mixed-version v3 fleet during a
+// rolling upgrade.
+func TestUnknownTagFrameSkipped(t *testing.T) {
+	rtB := engine.NewRuntime(engine.FixedLatency{}, 2)
+	defer rtB.Shutdown()
+	nodeB, err := NewNode(rtB, "site1", "127.0.0.1:0", Topology{Peers: map[string]string{}, Assign: siteAssign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+
+	recv := &recorder{done: make(chan struct{}), want: 2}
+	rtB.Register(engine.QMAddr(1), recv)
+
+	// Speak v3 by hand: version byte, consume the ack, then three frames —
+	// known, unknown-tag (a future build's message), known.
+	c, err := net.Dial("tcp", nodeB.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte{WireVersion}); err != nil {
+		t.Fatal(err)
+	}
+	var ack [1]byte
+	if _, err := c.Read(ack[:]); err != nil || ack[0] != wireAckV3 {
+		t.Fatalf("no v3 ack: %v %x", err, ack)
+	}
+	known := func(seq uint64) []byte {
+		return v3Frame(t, engine.Envelope{
+			From: engine.RIAddr(0), To: engine.QMAddr(1),
+			Msg: model.RequestMsg{Txn: model.TxnID{Site: 0, Seq: seq}},
+		})
+	}
+	// The future frame: valid addresses, tag 200, arbitrary body.
+	futurePayload := []byte{0, 2, 0, 1, 4, 0, 200, 0xde, 0xad, 0xbe, 0xef}
+	future := append(model.AppendUvarint(nil, uint64(len(futurePayload))), futurePayload...)
+	var stream []byte
+	stream = append(stream, known(1)...)
+	stream = append(stream, future...)
+	stream = append(stream, known(2)...)
+	if _, err := c.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitRecorder(t, recv, "frames around the unknown tag")
+	recv.mu.Lock()
+	defer recv.mu.Unlock()
+	for i, m := range recv.got {
+		if req, ok := m.(model.RequestMsg); !ok || req.Txn.Seq != uint64(i+1) {
+			t.Fatalf("message %d: %T %+v, want ordered RequestMsg", i, m, m)
+		}
+	}
+	s := nodeB.Wire().Snapshot()
+	if s.UnknownIn != 1 {
+		t.Fatalf("UnknownIn=%d, want 1", s.UnknownIn)
+	}
+	if s.MsgsIn != 2 {
+		t.Fatalf("MsgsIn=%d counted the skipped frame", s.MsgsIn)
+	}
 }

@@ -18,11 +18,9 @@
 // pre-crash snapshot timestamps and still need their exact versions.
 //
 // Record payloads use the wire-v3 varint codec (the same model primitives
-// the transport's message encoders use), shrinking a typical payload from
-// the legacy fixed 48 bytes to ~15 (framed: 56 → ~23, the 8-byte
-// crc+length header unchanged). Frames remain crc32C | len | payload; the
-// length word's high bit marks the varint era, and the legacy fixed-width
-// format is still decoded so media written by an older build replays exactly
-// after an in-place upgrade (a downgraded build stops replay at the first
-// flagged frame — the tail is lost, never misread).
+// the transport's message encoders use): a typical payload is ~15 bytes,
+// ~23 framed. A frame is crc32C | len | payload; the length word's high bit
+// is a required marker, and the checksum covers the length word with the
+// payload, so any damaged frame ends replay — the tail is lost, never
+// misread.
 package wal

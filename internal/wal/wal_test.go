@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -255,100 +257,21 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// appendLegacyRecord writes the fixed-width frame format of pre-wire-v3
-// builds, byte-for-byte (the old appendRecord implementation, kept here as
-// the upgrade-compat oracle).
-func appendLegacyRecord(buf []byte, r Record) []byte {
-	var p [recordPayload]byte
-	binary.LittleEndian.PutUint64(p[0:], r.Seq)
-	binary.LittleEndian.PutUint32(p[8:], uint32(r.Item))
-	binary.LittleEndian.PutUint32(p[12:], uint32(r.Txn.Site))
-	binary.LittleEndian.PutUint64(p[16:], r.Txn.Seq)
-	binary.LittleEndian.PutUint64(p[24:], uint64(r.Value))
-	binary.LittleEndian.PutUint64(p[32:], r.Version)
-	binary.LittleEndian.PutUint64(p[40:], uint64(r.CommitMicros))
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:], crc32.Checksum(p[:], crcTable))
-	binary.LittleEndian.PutUint32(h[4:], uint32(len(p)))
-	buf = append(buf, h[:]...)
-	return append(buf, p[:]...)
-}
-
-// TestReplayLegacyRecords: a segment written by an older build (fixed-width
-// frames) must replay exactly after an in-place upgrade — the WAL analogue
-// of the transport's v2 fallback.
-func TestReplayLegacyRecords(t *testing.T) {
-	media := NewMemMedia()
-	w, err := media.Create(segName(1))
+// TestRecordFrameGolden pins the on-disk frame of one record byte for byte:
+// crc32C(lenWord|payload) | varintFlag|15 | the seven varint fields. Media
+// already on disk must keep replaying, so any change here is a format break.
+func TestRecordFrameGolden(t *testing.T) {
+	r := Record{Seq: 42, Item: 7, Txn: model.TxnID{Site: 2, Seq: 1001}, Value: -5, Version: 3, CommitMicros: 1_700_000_000_000_000}
+	want, err := hex.DecodeString("541307bc" + "0f000080" + "2a" + "0e" + "04" + "e907" + "09" + "03" + "8080f28183898506")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	for i := 1; i <= 10; i++ {
-		buf = appendLegacyRecord(buf, Record{
-			Seq: uint64(i), Item: model.ItemID(i % 3), Txn: model.TxnID{Site: 1, Seq: uint64(i)},
-			Value: int64(-i), Version: uint64(i), CommitMicros: int64(i) * 1000,
-		})
+	if got := AppendRecordFrame(nil, r); !bytes.Equal(got, want) {
+		t.Fatalf("frame bytes changed:\n got %x\nwant %x", got, want)
 	}
-	if _, err := w.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	got := replayAll(t, media, 0)
-	if len(got) != 10 {
-		t.Fatalf("replayed %d legacy records, want 10", len(got))
-	}
-	for i, r := range got {
-		want := Record{
-			Seq: uint64(i + 1), Item: model.ItemID((i + 1) % 3), Txn: model.TxnID{Site: 1, Seq: uint64(i + 1)},
-			Value: int64(-(i + 1)), Version: uint64(i + 1), CommitMicros: int64(i+1) * 1000,
-		}
-		if r != want {
-			t.Fatalf("legacy record %d: got %+v want %+v", i, r, want)
-		}
-	}
-}
-
-// TestReplayMixedEraSegments: legacy frames in an old segment followed by
-// varint frames in a newer one — exactly what media looks like after an
-// upgraded node appends to surviving history.
-func TestReplayMixedEraSegments(t *testing.T) {
-	media := NewMemMedia()
-	// Old build wrote segment 1 (legacy frames).
-	w, _ := media.Create(segName(1))
-	var buf []byte
-	for i := 1; i <= 5; i++ {
-		buf = appendLegacyRecord(buf, Record{Seq: uint64(i), Item: 1, Txn: model.TxnID{Site: 1, Seq: uint64(i)}, Value: int64(i)})
-	}
-	w.Write(buf)
-	w.Sync()
-	w.Close()
-
-	// Upgraded build appends segment 2 (varint frames) via the real Log.
-	l, err := NewLog(media, 1<<20, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 6; i <= 9; i++ {
-		l.Append(Record{Item: 1, Txn: model.TxnID{Site: 1, Seq: uint64(i)}, Value: int64(i)})
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	got := replayAll(t, media, 0)
-	if len(got) != 9 {
-		t.Fatalf("replayed %d records across eras, want 9", len(got))
-	}
-	for i, r := range got {
-		if r.Seq != uint64(i+1) || r.Value != int64(i+1) {
-			t.Fatalf("record %d: got %+v", i, r)
-		}
+	var back []Record
+	if torn := DecodeRecordFrames(want, func(r Record) { back = append(back, r) }); torn != 0 || len(back) != 1 || back[0] != r {
+		t.Fatalf("golden frame decoded to %+v (torn %d), want %+v", back, torn, r)
 	}
 }
 
@@ -381,42 +304,32 @@ func TestRecordRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// TestFlippedEraFlagStopsReplay: the era flag lives in the length word, so
-// a flipped flag bit must fail the frame's checksum in whichever decode
-// branch it lands — replay stops, never misdecodes.
+// TestFlippedEraFlagStopsReplay: the marker bit in the length word is
+// required. A frame without it ends replay like a checksum failure — both
+// when the flip leaves the crc stale and when the crc was recomputed over
+// the unmarked length word — and the intact frames before it survive.
 func TestFlippedEraFlagStopsReplay(t *testing.T) {
-	flip := func(frame []byte) []byte {
+	r1 := Record{Seq: 1, Item: 1, Txn: model.TxnID{Site: 1, Seq: 1}, Value: 7}
+	r2 := Record{Seq: 2, Item: 1, Txn: model.TxnID{Site: 1, Seq: 2}, Value: 8}
+	unmark := func(frame []byte, fixCRC bool) []byte {
 		out := append([]byte{}, frame...)
 		out[7] ^= 0x80 // bit 31 of the little-endian length word
+		if fixCRC {
+			binary.LittleEndian.PutUint32(out, crc32.Checksum(out[4:], crcTable))
+		}
 		return out
 	}
-	write := func(t *testing.T, media Media, frames []byte) {
-		t.Helper()
+	for _, fixCRC := range []bool{false, true} {
+		media := NewMemMedia()
 		w, err := media.Create(segName(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Write(frames); err != nil {
-			t.Fatal(err)
-		}
+		w.Write(append(appendRecord(nil, r1), unmark(appendRecord(nil, r2), fixCRC)...))
 		w.Sync()
 		w.Close()
-	}
-	r1 := Record{Seq: 1, Item: 1, Txn: model.TxnID{Site: 1, Seq: 1}, Value: 7}
-
-	// Varint frame with the flag cleared: lands in the legacy branch, whose
-	// payload-only crc cannot match a crc that covered the length word.
-	media := NewMemMedia()
-	write(t, media, flip(appendRecord(nil, r1)))
-	if got := replayAll(t, media, 0); len(got) != 0 {
-		t.Fatalf("flag-stripped varint frame replayed %d records, want 0", len(got))
-	}
-
-	// Legacy frame with the flag set: lands in the varint branch, whose
-	// lenword+payload crc cannot match a payload-only crc.
-	media2 := NewMemMedia()
-	write(t, media2, flip(appendLegacyRecord(nil, r1)))
-	if got := replayAll(t, media2, 0); len(got) != 0 {
-		t.Fatalf("flag-set legacy frame replayed %d records, want 0", len(got))
+		if got := replayAll(t, media, 0); len(got) != 1 || got[0] != r1 {
+			t.Fatalf("fixCRC=%v: replayed %+v, want only the marked record", fixCRC, got)
+		}
 	}
 }

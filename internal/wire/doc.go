@@ -37,7 +37,7 @@
 // interface as it enters the runtime (plus the payload-owned slices of the
 // rare control-plane messages that carry them).
 //
-// Version negotiation against older gob-speaking peers lives in
+// The version-byte handshake that opens a v3 stream lives in
 // internal/transport; the WAL reuses the same model primitives for its
 // record payloads.
 package wire

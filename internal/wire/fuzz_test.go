@@ -13,12 +13,15 @@ import (
 //     so re-encoding the result reproduces the input byte-for-byte. Every
 //     non-canonical shape — overlong varints, bool bytes other than 0/1,
 //     out-of-range 32-bit fields, unsorted or duplicate map keys, trailing
-//     bytes — must instead be rejected. One message, one encoding is the
-//     property the WAL's checksummed frames and the compat matrix rely on.
+//     bytes, enum bytes outside their enum — must instead be rejected. One
+//     message, one encoding is the property the WAL's checksummed frames
+//     rely on.
 //
 // The seed corpus under testdata/fuzz/FuzzWireRoundTrip holds one encoded
-// payload per wire-contract message type (generated from Corpus(); see
-// TestWriteSeedCorpus in seed_test.go).
+// payload per wire-contract message type (tag-*, generated from Corpus();
+// see TestWriteSeedCorpus in seed_test.go) and one payload per one-byte enum
+// field type (enum-*: protocol, op kind, lock kind, outcome) with that byte
+// set just past its enum, so the fuzzer starts at each range edge.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, env := range Corpus() {
 		payload, err := AppendEnvelope(nil, env)
