@@ -32,6 +32,7 @@ func edge(waiter, holder uint64, w2pl, h2pl bool) model.WaitEdge {
 		WaiterSite: 1, WaiterIssuer: 1,
 	}
 }
+func (c *fakeCtx) Backlog() int { return 0 }
 
 // runRound probes and feeds one synthetic report per site.
 func runRound(d *Detector, ctx *fakeCtx, edges []model.WaitEdge) []model.VictimMsg {

@@ -93,14 +93,21 @@ type Context interface {
 	NowMicros() int64
 	// Self is the handling actor's own address.
 	Self() Addr
-	// Send delivers msg to the actor at 'to' after the engine's network
-	// latency model. Delivery is FIFO per (sender, receiver) pair.
+	// Send delivers msg to the actor at 'to': after the latency model's
+	// delay under the simulator, synchronously into the destination mailbox
+	// (or the transport uplink) under the runtime. Delivery is FIFO per
+	// (sender, receiver) pair.
 	Send(to Addr, msg model.Message)
 	// SetTimer delivers msg back to this actor after delayMicros (no network
 	// latency involved).
 	SetTimer(delayMicros int64, msg model.Message)
 	// Rand is a deterministic per-actor random source under the simulator.
 	Rand() *rand.Rand
+	// Backlog is the number of messages already waiting in this actor's
+	// mailbox behind the current delivery. The simulator always reports 0:
+	// it has no mailboxes, and a handler that batches work while Backlog is
+	// positive must not change what a simulated run does.
+	Backlog() int
 }
 
 // Actor is a message-driven protocol state machine. OnMessage must not
@@ -109,8 +116,9 @@ type Actor interface {
 	OnMessage(ctx Context, from Addr, msg model.Message)
 }
 
-// LatencyModel computes the one-way network delay for a message. The model
-// must be deterministic given the rng stream it is handed.
+// LatencyModel computes the one-way network delay for a message under the
+// virtual-time simulator (the real-time runtime delivers directly and takes
+// none). The model must be deterministic given the rng stream it is handed.
 type LatencyModel interface {
 	// DelayMicros returns the delivery delay from src to dst.
 	DelayMicros(src, dst Addr, rng *rand.Rand) int64

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -18,26 +19,25 @@ type Envelope struct {
 }
 
 // Runtime is the real-time engine: every actor gets a mailbox and a
-// goroutine; Send applies the latency model with wall-clock timers. It is
-// used by the runnable examples and by the TCP deployment (remote addresses
-// are forwarded through an uplink).
+// goroutine, and Send delivers on the sender's goroutine — straight into the
+// destination mailbox, or through the uplink (the TCP transport) for actors
+// registered elsewhere.
 //
 // FIFO guarantee: messages between one (sender, receiver) pair are delivered
-// in send order even under jittered latency, as they would be over a TCP
-// connection.
+// in send order, as they would be over a TCP connection — an actor sends from
+// one goroutine, and each push lands in order in one mailbox.
 type Runtime struct {
-	latency LatencyModel
-	seed    int64
+	seed int64
 
-	mu       sync.Mutex
-	actors   map[Addr]*mailbox
-	lastSend map[pairKey]time.Time
-	pairs    map[pairKey]*pairQueue
-	uplink   func(Envelope)
-	closed   bool
-	start    time.Time
-	epoch    int64 // start as wall-clock µs since the Unix epoch
-	wg       sync.WaitGroup
+	// actors is copy-on-write: Register replaces the whole map, so the send
+	// path looks a mailbox up with one atomic load and no lock (actors are
+	// only ever added). mu serializes the writers.
+	actors atomic.Pointer[map[Addr]*mailbox]
+	uplink atomic.Pointer[func(Envelope)]
+	mu     sync.Mutex
+	start  time.Time
+	epoch  int64 // start as wall-clock µs since the Unix epoch
+	wg     sync.WaitGroup
 
 	// mailboxDepth bounds every mailbox registered after SetMailboxDepth:
 	// sheddable messages (model.Sheddable — new-work openers) arriving at a
@@ -50,69 +50,13 @@ type Runtime struct {
 	overflows atomic.Uint64
 }
 
-type pairKey struct{ from, to Addr }
-
-// pairQueue serializes deliveries on one (sender, receiver) pair: a single
-// drain goroutine sleeps until each message's delivery time and fires them
-// strictly in send order. (Scheduling one time.AfterFunc per message would
-// race when deadlines coincide — Go timers with equal deadlines fire in
-// arbitrary order.)
-type pairQueue struct {
-	mu sync.Mutex
-	q  []timedEnv
-	// head indexes the next undelivered element: draining advances head
-	// instead of re-slicing, so the backing array is reused once the queue
-	// empties rather than re-grown for every burst (the per-delivery append
-	// was a steady-state allocation on the hot path).
-	head    int
-	running bool
-}
-
-type timedEnv struct {
-	at   time.Time
-	env  Envelope
-	fire func(Envelope)
-}
-
-func (p *pairQueue) push(te timedEnv) {
-	p.mu.Lock()
-	p.q = append(p.q, te)
-	if p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.running = true
-	p.mu.Unlock()
-	go p.drain()
-}
-
-func (p *pairQueue) drain() {
-	for {
-		p.mu.Lock()
-		if p.head == len(p.q) {
-			p.q = p.q[:0]
-			p.head = 0
-			p.running = false
-			p.mu.Unlock()
-			return
-		}
-		te := p.q[p.head]
-		p.q[p.head] = timedEnv{} // release the envelope for reuse/GC
-		p.head++
-		p.mu.Unlock()
-		if d := time.Until(te.at); d > 0 {
-			time.Sleep(d)
-		}
-		te.fire(te.env)
-	}
-}
-
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []Envelope
 	// head indexes the next unpopped element; popping advances it instead of
-	// re-slicing so the backing array is reused across bursts (see pairQueue).
+	// re-slicing, so the backing array is reused once the queue empties rather
+	// than re-grown for every burst.
 	head int
 	done bool
 	// bound is the depth at which sheddable messages are refused (0 =
@@ -180,32 +124,24 @@ func (m *mailbox) close() {
 	m.cond.Broadcast()
 }
 
-// NewRuntime builds a real-time engine with the given latency model and
-// random seed.
+// NewRuntime builds a real-time engine with the given random seed. Delivery
+// is direct, so the runtime has no latency model: latency must be nil or the
+// zero FixedLatency (latency models belong to the virtual-time simulator),
+// and anything else panics rather than being silently ignored.
 func NewRuntime(latency LatencyModel, seed int64) *Runtime {
-	if latency == nil {
-		latency = FixedLatency{}
+	if f, ok := latency.(FixedLatency); latency != nil && (!ok || f != FixedLatency{}) {
+		panic(fmt.Sprintf("engine: the runtime delivers directly and takes no latency model, got %#v", latency))
 	}
 	now := time.Now()
-	return &Runtime{
-		latency:  latency,
-		seed:     seed,
-		actors:   map[Addr]*mailbox{},
-		lastSend: map[pairKey]time.Time{},
-		pairs:    map[pairKey]*pairQueue{},
-		start:    now,
-		epoch:    now.UnixMicro(),
-	}
+	r := &Runtime{seed: seed, start: now, epoch: now.UnixMicro()}
+	r.actors.Store(&map[Addr]*mailbox{})
+	return r
 }
 
 // SetUplink installs the forwarding function for envelopes addressed to
 // actors not registered locally (the TCP transport). Must be called before
 // traffic flows.
-func (r *Runtime) SetUplink(f func(Envelope)) {
-	r.mu.Lock()
-	r.uplink = f
-	r.mu.Unlock()
-}
+func (r *Runtime) SetUplink(f func(Envelope)) { r.uplink.Store(&f) }
 
 // SetMailboxDepth bounds the mailboxes of actors registered after this call:
 // sheddable messages (new-work openers) arriving at a full mailbox are NAK'd
@@ -218,18 +154,15 @@ func (r *Runtime) SetMailboxDepth(depth int) {
 	r.mu.Unlock()
 }
 
+// mailboxOf returns the mailbox of a locally registered actor, or nil.
+func (r *Runtime) mailboxOf(a Addr) *mailbox { return (*r.actors.Load())[a] }
+
 // MailboxStats reports (sheddable messages NAK'd at a full mailbox, deepest
 // any mailbox has ever been). With only sheddable traffic in flight the
 // high-water mark never exceeds the configured depth; completer traffic may
 // push past it by its own (small, protocol-bounded) amount.
 func (r *Runtime) MailboxStats() (overflows uint64, highWater int) {
-	r.mu.Lock()
-	boxes := make([]*mailbox, 0, len(r.actors))
-	for _, mb := range r.actors {
-		boxes = append(boxes, mb)
-	}
-	r.mu.Unlock()
-	for _, mb := range boxes {
+	for _, mb := range *r.actors.Load() {
 		mb.mu.Lock()
 		if mb.high > highWater {
 			highWater = mb.high
@@ -252,16 +185,12 @@ func (r *Runtime) nak(env Envelope) {
 	// The refused message dies here: the Busy reply above copied everything
 	// it needs, so a pooled original goes back to its pool now.
 	model.RecycleMessage(env.Msg)
-	r.mu.Lock()
-	mb := r.actors[back.To]
-	uplink := r.uplink
-	r.mu.Unlock()
-	if mb != nil {
+	if mb := r.mailboxOf(back.To); mb != nil {
 		mb.push(back)
 		return
 	}
-	if uplink != nil {
-		uplink(back)
+	if up := r.uplink.Load(); up != nil {
+		(*up)(back)
 	}
 }
 
@@ -269,13 +198,16 @@ func (r *Runtime) nak(env Envelope) {
 func (r *Runtime) Register(addr Addr, a Actor) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.actors[addr]; dup {
+	old := *r.actors.Load()
+	if _, dup := old[addr]; dup {
 		panic(fmt.Sprintf("engine: duplicate actor %v", addr))
 	}
 	mb := newMailbox(r.mailboxDepth)
-	r.actors[addr] = mb
+	actors := maps.Clone(old)
+	actors[addr] = mb
+	r.actors.Store(&actors)
 	rng := rand.New(rand.NewSource(r.seed ^ int64(addr.Kind)<<32 ^ int64(addr.ID)<<8 ^ 0x9e3779b9))
-	ctx := &rtContext{rt: r, self: addr, rng: rng}
+	ctx := &rtContext{rt: r, self: addr, mb: mb, rng: rng}
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -294,36 +226,29 @@ func (r *Runtime) Register(addr Addr, a Actor) {
 }
 
 // Inject delivers an envelope that arrived from a remote node straight into
-// the destination mailbox (no further latency is applied: the wire already
-// provided it). An envelope addressed to an actor not registered here is
-// dropped — inbound wire traffic for another site must not loop back out.
+// the destination mailbox. An envelope addressed to an actor not registered
+// here is dropped — inbound wire traffic for another site must not loop back
+// out.
 func (r *Runtime) Inject(env Envelope) {
-	r.mu.Lock()
-	mb := r.actors[env.To]
-	r.mu.Unlock()
-	if mb != nil && !mb.push(env) {
+	if mb := r.mailboxOf(env.To); mb != nil && !mb.push(env) {
 		r.nak(env)
 	}
 }
 
-// Post routes a locally originated envelope like an actor send, minus
-// latency: a registered actor gets it in its mailbox (full mailbox → busy
-// NAK), anything else forwards through the uplink to its site. Use this —
-// not Inject — to originate traffic that may target remote actors (e.g. a
-// node publishing a partition-map epoch to its peers).
+// Post routes a locally originated envelope exactly like an actor's Send: a
+// registered actor gets it in its mailbox (full mailbox → busy NAK), anything
+// else forwards through the uplink to its site. Use this — not Inject — to
+// originate traffic that may target remote actors (e.g. a node publishing a
+// partition-map epoch to its peers).
 func (r *Runtime) Post(env Envelope) {
-	r.mu.Lock()
-	mb := r.actors[env.To]
-	uplink := r.uplink
-	r.mu.Unlock()
-	if mb != nil {
+	if mb := r.mailboxOf(env.To); mb != nil {
 		if !mb.push(env) {
 			r.nak(env)
 		}
 		return
 	}
-	if uplink != nil {
-		uplink(unpoolEnv(env))
+	if up := r.uplink.Load(); up != nil {
+		(*up)(unpoolEnv(env))
 	}
 }
 
@@ -338,17 +263,10 @@ func unpoolEnv(env Envelope) Envelope {
 	return env
 }
 
-// Shutdown stops all actor goroutines. Pending timers fire into closed
-// mailboxes and are dropped.
+// Shutdown stops all actor goroutines. Later sends and pending timers land
+// in closed mailboxes and are dropped.
 func (r *Runtime) Shutdown() {
-	r.mu.Lock()
-	r.closed = true
-	boxes := make([]*mailbox, 0, len(r.actors))
-	for _, mb := range r.actors {
-		boxes = append(boxes, mb)
-	}
-	r.mu.Unlock()
-	for _, mb := range boxes {
+	for _, mb := range *r.actors.Load() {
 		mb.close()
 	}
 	r.wg.Wait()
@@ -363,46 +281,10 @@ func (r *Runtime) Shutdown() {
 // process-start offset.
 func (r *Runtime) NowMicros() int64 { return r.epoch + time.Since(r.start).Microseconds() }
 
-func (r *Runtime) deliverAfter(env Envelope, delay time.Duration) {
-	// Enforce per-pair FIFO: the pairQueue drains strictly in send order,
-	// and delivery times never regress below the previous send's time.
-	key := pairKey{env.From, env.To}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	at := time.Now().Add(delay)
-	if prev, ok := r.lastSend[key]; ok && at.Before(prev) {
-		at = prev
-	}
-	r.lastSend[key] = at
-	mb := r.actors[env.To]
-	uplink := r.uplink
-	pq := r.pairs[key]
-	if pq == nil {
-		pq = &pairQueue{}
-		r.pairs[key] = pq
-	}
-	r.mu.Unlock()
-
-	fire := func(e Envelope) {
-		if mb != nil {
-			if !mb.push(e) {
-				r.nak(e)
-			}
-			return
-		}
-		if uplink != nil {
-			uplink(unpoolEnv(e))
-		}
-	}
-	pq.push(timedEnv{at: at, env: env, fire: fire})
-}
-
 type rtContext struct {
 	rt   *Runtime
 	self Addr
+	mb   *mailbox
 	rng  *rand.Rand
 }
 
@@ -411,25 +293,20 @@ func (c *rtContext) Self() Addr       { return c.self }
 func (c *rtContext) Rand() *rand.Rand { return c.rng }
 
 func (c *rtContext) Send(to Addr, msg model.Message) {
-	delay := c.rt.latency.DelayMicros(c.self, to, c.rng)
-	c.rt.deliverAfter(Envelope{From: c.self, To: to, Msg: msg}, time.Duration(delay)*time.Microsecond)
+	c.rt.Post(Envelope{From: c.self, To: to, Msg: msg})
+}
+
+func (c *rtContext) Backlog() int {
+	c.mb.mu.Lock()
+	defer c.mb.mu.Unlock()
+	return c.mb.depth()
 }
 
 func (c *rtContext) SetTimer(delayMicros int64, msg model.Message) {
 	env := Envelope{From: c.self, To: c.self, Msg: msg}
-	c.rt.mu.Lock()
-	if c.rt.closed {
-		c.rt.mu.Unlock()
-		return
-	}
-	mb := c.rt.actors[c.self]
-	c.rt.mu.Unlock()
-	if mb == nil {
-		return
-	}
 	if delayMicros <= 0 {
-		mb.push(env)
+		c.mb.push(env)
 		return
 	}
-	time.AfterFunc(time.Duration(delayMicros)*time.Microsecond, func() { mb.push(env) })
+	time.AfterFunc(time.Duration(delayMicros)*time.Microsecond, func() { c.mb.push(env) })
 }

@@ -37,13 +37,38 @@ func (s *sender) OnMessage(ctx Context, from Addr, msg model.Message) {
 	}
 }
 
+// perSender records, for each sender, the tags it delivered in order.
+type perSender struct {
+	mu   sync.Mutex
+	seen map[Addr][]uint64
+	left int
+	done chan struct{}
+}
+
+func (p *perSender) OnMessage(ctx Context, from Addr, msg model.Message) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.seen[from] = append(p.seen[from], msg.(model.TickMsg).Tag)
+	if p.left--; p.left == 0 {
+		close(p.done)
+	}
+}
+
+// TestRuntimeDeliveryAndFIFO: sends are delivered on the sender's goroutine,
+// so several actors sending to one receiver at once interleave freely, but
+// each (sender, receiver) pair stays in send order.
 func TestRuntimeDeliveryAndFIFO(t *testing.T) {
-	rt := NewRuntime(UniformLatency{MinMicros: 0, MaxMicros: 2_000}, 1)
+	const senders, n = 8, 500
+	rt := NewRuntime(nil, 1)
 	defer rt.Shutdown()
-	recv := &collect{done: make(chan struct{}), want: 100}
-	rt.Register(RIAddr(2), recv)
-	rt.Register(RIAddr(1), &sender{to: RIAddr(2), n: 100})
-	rt.Inject(Envelope{From: RIAddr(1), To: RIAddr(1), Msg: model.TickMsg{}})
+	recv := &perSender{seen: map[Addr][]uint64{}, left: senders * n, done: make(chan struct{})}
+	rt.Register(QMAddr(0), recv)
+	for i := 1; i <= senders; i++ {
+		rt.Register(RIAddr(model.SiteID(i)), &sender{to: QMAddr(0), n: n})
+	}
+	for i := 1; i <= senders; i++ {
+		rt.Post(Envelope{To: RIAddr(model.SiteID(i)), Msg: model.TickMsg{}})
+	}
 	select {
 	case <-recv.done:
 	case <-time.After(5 * time.Second):
@@ -51,9 +76,67 @@ func TestRuntimeDeliveryAndFIFO(t *testing.T) {
 	}
 	recv.mu.Lock()
 	defer recv.mu.Unlock()
-	for i, tag := range recv.tags {
-		if tag != uint64(i) {
-			t.Fatalf("FIFO violated at %d: got %d", i, tag)
+	if len(recv.seen) != senders {
+		t.Fatalf("heard from %d senders, want %d", len(recv.seen), senders)
+	}
+	for from, tags := range recv.seen {
+		for i, tag := range tags {
+			if tag != uint64(i) {
+				t.Fatalf("FIFO from %v violated at %d: got %d", from, i, tag)
+			}
+		}
+	}
+}
+
+// TestNewRuntimeRefusesLatencyModels: the runtime delivers directly, so a
+// latency model that would have delayed messages is refused loudly instead
+// of being ignored; nil and the zero FixedLatency mean "no delay".
+func TestNewRuntimeRefusesLatencyModels(t *testing.T) {
+	for _, lm := range []LatencyModel{nil, FixedLatency{}} {
+		NewRuntime(lm, 1).Shutdown()
+	}
+	for _, lm := range []LatencyModel{FixedLatency{RemoteMicros: 1}, UniformLatency{MaxMicros: 2_000}, ExpLatency{MeanMicros: 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRuntime(%#v) did not panic", lm)
+				}
+			}()
+			NewRuntime(lm, 1)
+		}()
+	}
+}
+
+// backlogProbe reports ctx.Backlog() at each delivery.
+type backlogProbe struct {
+	gate    chan struct{}
+	backlog chan int
+}
+
+func (b *backlogProbe) OnMessage(ctx Context, from Addr, msg model.Message) {
+	<-b.gate
+	b.backlog <- ctx.Backlog()
+}
+
+// TestRuntimeBacklog: Backlog counts the messages queued behind the one
+// being handled.
+func TestRuntimeBacklog(t *testing.T) {
+	rt := NewRuntime(nil, 1)
+	defer rt.Shutdown()
+	b := &backlogProbe{gate: make(chan struct{}), backlog: make(chan int, 4)}
+	rt.Register(QMAddr(0), b)
+	for i := 0; i < 4; i++ {
+		rt.Post(Envelope{To: QMAddr(0), Msg: model.TickMsg{Tag: uint64(i)}})
+	}
+	close(b.gate)
+	for want := 3; want >= 0; want-- {
+		select {
+		case got := <-b.backlog:
+			if got != want {
+				t.Fatalf("Backlog() = %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out")
 		}
 	}
 }

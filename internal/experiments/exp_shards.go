@@ -66,6 +66,7 @@ func (c *shardBenchCtx) Send(to engine.Addr, msg model.Message) {
 	c.sent = append(c.sent, engine.Envelope{From: c.self, To: to, Msg: msg})
 }
 func (c *shardBenchCtx) SetTimer(delayMicros int64, msg model.Message) {}
+func (c *shardBenchCtx) Backlog() int                                  { return 0 }
 
 // recycleSent returns every captured outbound message to its pool and resets
 // the capture buffer. The harness is the delivery layer for the shard's

@@ -121,6 +121,7 @@ func (c *colCtx) Send(to engine.Addr, msg model.Message) {
 	c.sent = append(c.sent, engine.Envelope{To: to, Msg: msg})
 }
 func (c *colCtx) SetTimer(d int64, msg model.Message) {}
+func (c *colCtx) Backlog() int                        { return 0 }
 
 func done(p model.Protocol, outcome model.TxnOutcome, sMicros int64) model.TxnDoneMsg {
 	return model.TxnDoneMsg{

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -84,8 +84,8 @@ func NewTxn(id TxnID, p Protocol, reads, writes []ItemID, computeMicros int64) *
 	for it := range w {
 		t.WriteSet = append(t.WriteSet, it)
 	}
-	sort.Slice(t.ReadSet, func(i, j int) bool { return t.ReadSet[i] < t.ReadSet[j] })
-	sort.Slice(t.WriteSet, func(i, j int) bool { return t.WriteSet[i] < t.WriteSet[j] })
+	slices.Sort(t.ReadSet)
+	slices.Sort(t.WriteSet)
 	return t
 }
 

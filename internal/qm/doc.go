@@ -25,6 +25,13 @@
 //     sequencer, so concurrently expiring shard batches coalesce into one
 //     media sync (cross-shard group commit) while each shard's write-ahead
 //     guarantee — sync before the grant exposing the write — is preserved.
+//     With no group-commit window a shard syncs once per mailbox backlog:
+//     once a delivery journals a write, every send the shard makes is held
+//     in order, and the shard keeps handling the messages waiting behind it
+//     (engine.Context.Backlog, at most as many as waited at the first
+//     write). Then one sequencer pass syncs the batch and the held sends
+//     leave. A crash discards them with the unsynced tail. The simulator
+//     reports no backlog, so there every delivery still ends synced.
 //   - Crash and recovery (CrashMsg/RecoverMsg): a site fails as a unit;
 //     every shard goes down together, defers its traffic, and drains in
 //     per-shard arrival order after the store is rebuilt once from
@@ -39,13 +46,18 @@
 //     no entry, no lock, no threshold check — and recorded into the history
 //     log at the position of the version they observed.
 //   - Durability control (CrashMsg/RecoverMsg/FlushMsg): the manager drives
-//     when the site's write-ahead log syncs (per delivery, or deferred by a
-//     group-commit window) and how a crashed site defers traffic until its
-//     store — version chains included — is rebuilt from snapshot + replay.
+//     when the site's write-ahead log syncs (once per mailbox backlog, or
+//     deferred by a group-commit window) and how a crashed site defers
+//     traffic until its store — version chains included — is rebuilt from
+//     snapshot + replay.
 //
 // Backpressure: Options.MaxQueueDepth bounds every data queue. A request
 // landing on a full queue — unless its transaction is already resident —
 // is refused with a model.BusyMsg NAK (counted in Counters.Busy) rather
 // than admitted, so overload stops at the queue bound and the refusal
 // feeds the issuers' admission controllers instead of growing memory.
+//
+// Robustness: a valid wire message of a type the manager does not handle
+// (a grant, say, misrouted by a peer) is dropped and counted in
+// Counters.Unexpected; it never takes the site down.
 package qm

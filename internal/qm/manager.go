@@ -40,13 +40,17 @@ type Options struct {
 	MaxQueueDepth int
 	// GroupCommitMicros, when positive and a Durable is attached, defers
 	// WAL syncs by up to this window so writes implemented by concurrently
-	// committing transactions share one sync (group commit). Zero syncs a
-	// write immediately after it is implemented, before any grant exposing
-	// it is sent — the write-ahead ordering a crash cannot violate. The
-	// window trades that guarantee for fewer syncs: writes inside an
-	// unexpired window are lost by a crash even though their effects may
-	// already have been observed elsewhere. Each shard defers its own batch;
-	// the per-site commit sequencer coalesces the expiring windows.
+	// committing transactions share one sync (group commit). Zero makes one
+	// sync per drained mailbox backlog: a shard that has journaled a write
+	// holds every send it makes and keeps handling the messages already
+	// waiting behind it (at most as many as waited at the batch's first
+	// write), then syncs once and releases the held sends — still before
+	// any send that exposes the write, the write-ahead ordering a crash
+	// cannot violate. The window trades that guarantee for fewer syncs:
+	// writes inside an unexpired window are lost by a crash even though
+	// their effects may already have been observed elsewhere. Each shard
+	// defers its own batch; the per-site commit sequencer coalesces the
+	// expiring windows.
 	GroupCommitMicros int64
 	// InitialValue seeds copies this site gains at a map install before
 	// their transfer stream arrives (matching cluster.Config.InitialValue,
@@ -79,6 +83,7 @@ type Counters struct {
 	Crashes    uint64 // injected site crashes
 	Recoveries uint64 // completed crash recoveries
 	Deferred   uint64 // messages queued while the site was down
+	Unexpected uint64 // messages of a type a queue manager does not handle, dropped
 
 	// Log-shipping catch-up (internal/repl; zero unless quorum replication
 	// is configured).
@@ -212,7 +217,7 @@ func (m *Manager) SetDurable(d Durable) {
 // SetGroupCommitMicros changes the group-commit window at runtime — the
 // slow-disk fault hook: a degraded disk is modeled as forced sync batching
 // (a wide window amortizes many writes per sync, at the documented cost of
-// a longer unsynced tail). Shards read the option on every maybeFlush, so
+// a longer unsynced tail). Shards read the option at every delivery, so
 // the new window governs the next delivery. Simulator-only discipline: call
 // between engine steps (the scenario runner applies it at a phase-boundary
 // fault point); on the real-time runtime shards read the field without
@@ -256,6 +261,7 @@ func (m *Manager) Snapshot() Counters {
 		t.Crashes += c.Crashes
 		t.Recoveries += c.Recoveries
 		t.Deferred += c.Deferred
+		t.Unexpected += c.Unexpected
 		t.ReplPulls += c.ReplPulls
 		t.ReplApplied += c.ReplApplied
 		t.ReplSkipped += c.ReplSkipped
@@ -335,30 +341,33 @@ func (m *Manager) QueueDepth(item model.ItemID) int {
 // routing is by content, not by mailbox, so delivery stays correct whether
 // the site runs one mailbox (simulator) or one per shard (runtime).
 func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
+	var handled *shard
 	switch v := msg.(type) {
 	case model.RequestMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case *model.RequestMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case model.FinalTSMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case *model.FinalTSMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case model.ReleaseMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case *model.ReleaseMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case model.AbortMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case *model.AbortMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case model.SnapReadMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case *model.SnapReadMsg:
-		m.shardFor(v.Copy.Item).onMessage(ctx, from, msg)
+		handled = m.shardFor(v.Copy.Item)
 	case model.FlushMsg:
-		if int(v.Shard) < len(m.shards) {
-			m.shards[v.Shard].onMessage(ctx, from, msg)
+		if v.Shard >= 0 && int(v.Shard) < len(m.shards) {
+			handled = m.shards[v.Shard]
+		} else {
+			m.unexpected()
 		}
 	case model.ProbeWFGMsg:
 		m.onProbe(ctx, from, v)
@@ -390,8 +399,40 @@ func (m *Manager) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 	case model.StopMsg:
 		m.onStop()
 	default:
-		panic(fmt.Sprintf("qm: site %d: unexpected message %T", m.site, msg))
+		// Valid wire input for some other actor kind: a peer misrouted it.
+		// Dropping it is the only answer that keeps the site up.
+		m.unexpected()
 	}
+	own := m.ownShard(ctx)
+	if handled != nil {
+		handled.onMessage(ctx, from, msg, handled == own)
+	}
+	if own != nil && own != handled {
+		// Every delivery through a shard's mailbox counts toward its open
+		// sync batch, whichever handler took it; otherwise a batch opened
+		// before a run of control messages would wait for the next request.
+		own.mu.Lock()
+		own.settle(ctx, true)
+		own.mu.Unlock()
+	}
+}
+
+// ownShard returns the shard whose mailbox ctx delivers from, or nil when
+// the manager runs under an address that is not one of its shards'.
+func (m *Manager) ownShard(ctx engine.Context) *shard {
+	a := ctx.Self()
+	if a.Kind != engine.KindQM || a.ID != m.site || int(a.Shard) >= len(m.shards) {
+		return nil
+	}
+	return m.shards[a.Shard]
+}
+
+// unexpected counts a dropped message the manager has no handler for.
+func (m *Manager) unexpected() {
+	sh := m.shards[0]
+	sh.mu.Lock()
+	sh.counters.Unexpected++
+	sh.mu.Unlock()
 }
 
 // lockAll acquires every shard lock in index order (the site-wide critical
@@ -411,14 +452,16 @@ func (m *Manager) unlockAll() {
 }
 
 // onCrash injects a site crash (CrashMsg, simulation only): the volatile
-// store and the unsynced WAL tail are destroyed; the synced prefix and
-// snapshot survive on the durable media. The site fails as a unit — every
-// shard goes down together — and until RecoverMsg arrives each shard defers
-// its messages. Crashing an already-down site is a no-op (the volatile state
-// is already gone).
+// store and the unsynced WAL tail are destroyed, with the sends held behind
+// that tail; the synced prefix and snapshot survive on the durable media.
+// The site fails as a unit — every shard goes down together — and until
+// RecoverMsg arrives each shard defers its messages. Crashing an
+// already-down site is a no-op (the volatile state is already gone), and a
+// volatile site counts the message as unexpected.
 func (m *Manager) onCrash() {
 	if m.dur == nil {
-		panic(fmt.Sprintf("qm: site %d: CrashMsg without durability configured", m.site))
+		m.unexpected() // a volatile site has nothing to crash
+		return
 	}
 	m.ctlMu.Lock()
 	defer m.ctlMu.Unlock()
@@ -429,8 +472,7 @@ func (m *Manager) onCrash() {
 	}
 	for _, sh := range m.shards {
 		sh.down = true
-		sh.dirty = false
-		sh.flushArmed = false
+		sh.dropHeld()
 	}
 	m.store.Wipe()
 	m.dur.Crash()

@@ -85,7 +85,7 @@ func (sh *shard) wrongEpoch(ctx engine.Context, to model.SiteID, txn model.TxnID
 		// issuer only that the attempt must restart.
 		pm = &model.PartitionMap{}
 	}
-	ctx.Send(engine.RIAddr(to), model.WrongEpochMsg{Txn: txn, Attempt: at, Copy: copy, Map: *pm})
+	sh.send(ctx, engine.RIAddr(to), model.WrongEpochMsg{Txn: txn, Attempt: at, Copy: copy, Map: *pm})
 }
 
 // owns reports whether this site holds item under the installed map (legacy
@@ -343,7 +343,7 @@ func (m *Manager) onTransferRecords(ctx engine.Context, v model.TransferRecordsM
 		if sh.queues[r.Item] == nil || !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
 			return false
 		}
-		sh.dirty = true
+		sh.journaled(ctx)
 		return true
 	})
 	for _, sh := range m.shards {

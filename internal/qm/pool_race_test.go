@@ -29,6 +29,7 @@ func (c *raceCtx) Send(to engine.Addr, msg model.Message) {
 	c.sent = append(c.sent, engine.Envelope{From: c.self, To: to, Msg: msg})
 }
 func (c *raceCtx) SetTimer(delayMicros int64, msg model.Message) {}
+func (c *raceCtx) Backlog() int                                  { return 0 }
 
 func (c *raceCtx) recycleSent() {
 	for i := range c.sent {

@@ -10,12 +10,15 @@ import (
 	"ucc/internal/storage"
 )
 
-// fakeCtx implements engine.Context and captures sends.
+// fakeCtx implements engine.Context and captures sends. backlog is what
+// Backlog reports: the messages a runtime mailbox would hold behind the
+// current delivery.
 type fakeCtx struct {
-	now  int64
-	self engine.Addr
-	sent []engine.Envelope
-	rng  *rand.Rand
+	now     int64
+	self    engine.Addr
+	sent    []engine.Envelope
+	rng     *rand.Rand
+	backlog int
 }
 
 func newFakeCtx() *fakeCtx {
@@ -35,6 +38,7 @@ func (c *fakeCtx) Send(to engine.Addr, msg model.Message) {
 func (c *fakeCtx) SetTimer(delay int64, msg model.Message) {
 	c.sent = append(c.sent, engine.Envelope{From: c.self, To: c.self, Msg: msg})
 }
+func (c *fakeCtx) Backlog() int { return c.backlog }
 
 // take drains and returns captured messages of type M addressed to anyone.
 func take[M model.Message](c *fakeCtx) []M {

@@ -90,7 +90,7 @@ func (m *Manager) onReplPull(ctx engine.Context, v model.ReplPullMsg) {
 	batch, err := repl.BuildBatch(m.site, m.replSrc, v.AfterSeq, max)
 	if err != nil {
 		// The durable log is unreadable on an up site: the same broken
-		// contract flushNow panics on.
+		// contract release panics on.
 		panic(fmt.Sprintf("qm: site %d: repl pull from site %d after seq %d: %v", m.site, v.From, v.AfterSeq, err))
 	}
 	m.shards[0].mu.Lock()
@@ -121,7 +121,7 @@ func (m *Manager) onReplRecords(ctx engine.Context, v model.ReplRecordsMsg) {
 		if !m.store.ApplyShipped(r.Item, r.Txn, r.Value, r.CommitMicros) {
 			return false
 		}
-		sh.dirty = true
+		sh.journaled(ctx)
 		return true
 	})
 	for _, sh := range m.shards {

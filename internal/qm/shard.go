@@ -37,12 +37,21 @@ type shard struct {
 	flushArmed bool // a group-commit FlushMsg timer is pending for this shard
 	down       bool // site crashed: messages defer until recovery
 	deferred   []pendingMsg
+
+	// One sync per backlog (a Durable attached, GroupCommitMicros == 0):
+	// held are the sends this shard made while it had unsynced writes, in
+	// send order, and holdLeft is how many more deliveries the batch may
+	// stay open. release syncs once and then sends them all.
+	held     []engine.Envelope
+	holdLeft int
 }
 
 // onMessage handles one delivery for this shard. Crashed shards defer
 // everything (durable message queues redeliver after a restart — the
-// simulation's stand-in for the transport's reconnect-and-resend).
-func (sh *shard) onMessage(ctx engine.Context, from engine.Addr, msg model.Message) {
+// simulation's stand-in for the transport's reconnect-and-resend). own
+// reports that the delivery came through this shard's own mailbox, the one
+// whose backlog settle may wait on.
+func (sh *shard) onMessage(ctx engine.Context, from engine.Addr, msg model.Message, own bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.down {
@@ -58,7 +67,7 @@ func (sh *shard) onMessage(ctx engine.Context, from engine.Addr, msg model.Messa
 		return
 	}
 	sh.handle(ctx, from, msg)
-	sh.maybeFlush(ctx)
+	sh.settle(ctx, own)
 }
 
 // handle dispatches one message. Callers hold sh.mu. Pooled pointer forms
@@ -88,49 +97,109 @@ func (sh *shard) handle(ctx engine.Context, from engine.Addr, msg model.Message)
 	case *model.SnapReadMsg:
 		sh.onSnapRead(ctx, *v)
 	case model.FlushMsg:
-		sh.onFlushTimer()
+		sh.onFlushTimer(ctx)
 	default:
-		panic(fmt.Sprintf("qm: site %d shard %d: unexpected message %T", sh.m.site, sh.idx, msg))
+		sh.counters.Unexpected++
 	}
 }
 
-// maybeFlush is the commit-path durability policy, run after every handled
-// message: with no group-commit window the writes this delivery implemented
-// are synced now (one commit-sequencer pass per delivery, already batched
-// across a transaction's co-resident copies and coalesced with concurrently
-// flushing shards); with a window, the sync is deferred to a per-shard
-// FlushMsg timer so concurrently committing transactions share it.
-func (sh *shard) maybeFlush(ctx engine.Context) {
-	if !sh.dirty || sh.m.dur == nil {
+// send is every send a shard makes. While one sync per backlog is open
+// (writes journaled but not yet synced, or earlier sends still held) the
+// send is held, in order, until release: nothing that could expose a write
+// leaves the shard before that write is durable. Callers hold sh.mu.
+func (sh *shard) send(ctx engine.Context, to engine.Addr, msg model.Message) {
+	if len(sh.held) > 0 || sh.dirty && sh.m.opts.GroupCommitMicros == 0 {
+		// The shard owns a held message until release hands it to ctx.Send
+		// (or a crash recycles it).
+		sh.held = append(sh.held, engine.Envelope{To: to, Msg: msg})
 		return
 	}
-	if sh.m.opts.GroupCommitMicros > 0 {
-		if !sh.flushArmed {
+	ctx.Send(to, msg)
+}
+
+// journaled marks the shard dirty after a write reached the WAL buffer. The
+// first write of a batch records how many messages wait behind the current
+// delivery: that is how many more deliveries the batch may stay open.
+func (sh *shard) journaled(ctx engine.Context) {
+	if sh.m.dur == nil || sh.dirty {
+		return
+	}
+	sh.dirty = true
+	sh.holdLeft = ctx.Backlog()
+}
+
+// settle ends a delivery. While more messages wait in the shard's own
+// mailbox, and fewer deliveries have passed than waited when the batch's
+// first write was journaled, the batch stays open so the writes those
+// messages implement share its sync. Otherwise the durability policy runs.
+// Under the simulator Backlog is always 0, so every delivery ends synced,
+// exactly as before batching existed.
+func (sh *shard) settle(ctx engine.Context, own bool) {
+	if own && sh.holdLeft > 0 && sh.m.opts.GroupCommitMicros == 0 && ctx.Backlog() > 0 {
+		sh.holdLeft--
+		return
+	}
+	sh.maybeFlush(ctx)
+}
+
+// maybeFlush is the commit-path durability policy: with no group-commit
+// window the shard's journaled writes are synced now and its held sends
+// released (one commit-sequencer pass, coalesced with concurrently flushing
+// shards); with a window, the sync is deferred to a per-shard FlushMsg timer
+// so concurrently committing transactions share it.
+func (sh *shard) maybeFlush(ctx engine.Context) {
+	if sh.m.dur == nil {
+		return
+	}
+	if sh.m.opts.GroupCommitMicros > 0 && len(sh.held) == 0 {
+		if sh.dirty && !sh.flushArmed {
 			sh.flushArmed = true
 			ctx.SetTimer(sh.m.opts.GroupCommitMicros, model.FlushMsg{Shard: int32(sh.idx)})
 		}
 		return
 	}
-	sh.flushNow()
+	sh.release(ctx)
 }
 
-func (sh *shard) onFlushTimer() {
+func (sh *shard) onFlushTimer(ctx engine.Context) {
 	sh.flushArmed = false
-	if sh.dirty && sh.m.dur != nil {
-		sh.flushNow()
+	if sh.m.dur != nil {
+		sh.release(ctx)
 	}
 }
 
-// flushNow drains this shard's dirty batch through the site's commit
-// sequencer: it returns once every record the shard journaled before the
-// call is durable. Concurrent shards coalesce into one media sync.
-func (sh *shard) flushNow() {
-	if err := sh.m.seq.commit(); err != nil {
-		// Losing the WAL means losing the durability contract; there is no
-		// meaningful way to continue serving writes.
-		panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
+// release drains this shard's dirty batch through the site's commit
+// sequencer — it returns once every record the shard journaled before the
+// call is durable, concurrent shards coalescing into one media sync — and
+// then sends everything held behind the batch, in order.
+func (sh *shard) release(ctx engine.Context) {
+	if sh.dirty {
+		if err := sh.m.seq.commit(); err != nil {
+			// Losing the WAL means losing the durability contract; there is
+			// no meaningful way to continue serving writes.
+			panic(fmt.Sprintf("qm: site %d shard %d: wal flush: %v", sh.m.site, sh.idx, err))
+		}
+		sh.dirty = false
 	}
+	for i, e := range sh.held {
+		ctx.Send(e.To, e.Msg)
+		sh.held[i] = engine.Envelope{}
+	}
+	sh.held = sh.held[:0]
+	sh.holdLeft = 0
+}
+
+// dropHeld discards the held sends at a crash: the writes they would have
+// exposed are lost with the volatile tail.
+func (sh *shard) dropHeld() {
+	for i, e := range sh.held {
+		model.RecycleMessage(e.Msg)
+		sh.held[i] = engine.Envelope{}
+	}
+	sh.held = sh.held[:0]
+	sh.holdLeft = 0
 	sh.dirty = false
+	sh.flushArmed = false
 }
 
 func (sh *shard) queue(item model.ItemID) *dataQueue {
@@ -155,7 +224,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		// flight from the old owner. Busy is the right refusal — the routing
 		// was correct, the issuer just needs to retry under backoff.
 		sh.counters.Busy++
-		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
+		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
 	q := sh.queue(v.Copy.Item)
@@ -165,7 +234,7 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		// aborts the attempt and restarts it under backoff — shedding load
 		// at the source instead of diverging here.
 		sh.counters.Busy++
-		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{
+		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{
 			Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy,
 		}))
 		return
@@ -202,12 +271,12 @@ func (sh *shard) onRequest(ctx engine.Context, v model.RequestMsg) {
 		// Rejected requests are never inserted: the entry goes straight back.
 		recycleEntry(e)
 		sh.counters.Rejects++
-		ctx.Send(issuer, model.PooledReject(model.RejectMsg{
+		sh.send(ctx, issuer, model.PooledReject(model.RejectMsg{
 			Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy, Threshold: out.threshold,
 		}))
 	case out.backedOff:
 		sh.counters.Backoffs++
-		ctx.Send(issuer, model.PooledBackoff(model.BackoffMsg{
+		sh.send(ctx, issuer, model.PooledBackoff(model.BackoffMsg{
 			Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy, NewTS: out.newTS,
 		}))
 	}
@@ -248,28 +317,26 @@ func (sh *shard) onRelease(ctx engine.Context, v model.ReleaseMsg) {
 		// its operations are implemented now, and the lock becomes a
 		// semi-lock until every item has issued a normal grant.
 		if !e.semi {
-			sh.implement(e, v)
+			sh.implement(ctx, e, v)
 			q.toSemi(e)
 			sh.counters.Conversion++
 		}
-		// Sync before dispatch: the grants dispatch sends carry the value
-		// just implemented, and on the real runtime they hit the wire
-		// before OnMessage returns — a write another site observed must
-		// not be lost by a crash.
-		sh.maybeFlush(ctx)
+		// The grants dispatch sends carry the value just implemented: with
+		// a Durable attached they are held (sh.send) until the write is
+		// synced, so a write another site observed cannot be lost by a
+		// crash.
 		sh.dispatch(ctx, q)
 		return
 	}
 	if !e.semi {
 		// Implemented at release (§4.3: 2PL/PA always; T/O when it received
 		// no pre-scheduled lock and released directly).
-		sh.implement(e, v)
+		sh.implement(ctx, e, v)
 	}
 	q.remove(e)
 	recycleEntry(e)
 	sh.counters.Releases++
-	sh.maybeFlush(ctx) // before dispatch exposes the write (see above)
-	sh.dispatch(ctx, q)
+	sh.dispatch(ctx, q) // held behind the write's sync (see above)
 	sh.maybeRetire(v.Copy.Item, q)
 }
 
@@ -288,7 +355,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 		// initial copy, not the moved history — refuse rather than serve a
 		// stale snapshot.
 		sh.counters.Busy++
-		ctx.Send(engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
+		sh.send(ctx, engine.RIAddr(v.Site), model.PooledBusy(model.BusyMsg{Txn: v.Txn, Attempt: v.Attempt, Copy: v.Copy}))
 		return
 	}
 	sh.counters.SnapReads++
@@ -299,7 +366,7 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 	if sh.m.recorder != nil {
 		sh.m.recorder.ImplementedReadAt(model.CopyID{Item: v.Copy.Item, Site: sh.m.site}, v.Txn, ver.Version)
 	}
-	ctx.Send(engine.RIAddr(v.Site), model.PooledSnapReadReply(model.SnapReadReplyMsg{
+	sh.send(ctx, engine.RIAddr(v.Site), model.PooledSnapReadReply(model.SnapReadReplyMsg{
 		Txn:          v.Txn,
 		Attempt:      v.Attempt,
 		Copy:         v.Copy,
@@ -311,12 +378,12 @@ func (sh *shard) onSnapRead(ctx engine.Context, v model.SnapReadMsg) {
 }
 
 // implement applies the operation to the store and the history log.
-func (sh *shard) implement(e *entry, v model.ReleaseMsg) {
+func (sh *shard) implement(ctx engine.Context, e *entry, v model.ReleaseMsg) {
 	c := model.CopyID{Item: v.Copy.Item, Site: sh.m.site}
 	if e.kind == model.OpWrite {
 		if v.HasWrite {
 			sh.m.store.Write(v.Copy.Item, e.txn, v.Value, v.CommitMicros) // journaled via the store's hook
-			sh.dirty = true
+			sh.journaled(ctx)
 		}
 		if sh.m.recorder != nil {
 			sh.m.recorder.Implemented(c, e.txn, model.OpWrite)
@@ -375,7 +442,7 @@ func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
 			hd.readRecorded = true
 		}
 		ver := sh.m.store.Latest(q.copyID.Item)
-		ctx.Send(engine.RIAddr(hd.prec.Site), model.PooledGrant(model.GrantMsg{
+		sh.send(ctx, engine.RIAddr(hd.prec.Site), model.PooledGrant(model.GrantMsg{
 			Txn:          hd.txn,
 			Attempt:      hd.attempt,
 			Copy:         q.copyID,
@@ -390,7 +457,7 @@ func (sh *shard) dispatch(ctx engine.Context, q *dataQueue) {
 	for _, e := range q.promotable() {
 		e.normalSent = true
 		sh.counters.Promotions++
-		ctx.Send(engine.RIAddr(e.prec.Site), model.PooledNormalGrant(model.NormalGrantMsg{
+		sh.send(ctx, engine.RIAddr(e.prec.Site), model.PooledNormalGrant(model.NormalGrantMsg{
 			Txn: e.txn, Attempt: e.attempt, Copy: q.copyID,
 		}))
 	}

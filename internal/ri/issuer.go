@@ -1,8 +1,8 @@
 package ri
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"ucc/internal/engine"
@@ -303,6 +303,8 @@ type Issuer struct {
 	// NAK piggybacks and MapUpdateMsg pushes).
 	wrongEpochNAKs uint64
 	mapUpdates     uint64
+	// unexpected counts dropped messages of a type an issuer does not handle.
+	unexpected uint64
 }
 
 // New creates an issuer for site routing by pm, its initial view of the
@@ -354,7 +356,10 @@ type Stats struct {
 	// raced a placement change; MapUpdates counts newer partition maps
 	// installed at this issuer (NAK piggybacks plus MapUpdateMsg pushes).
 	WrongEpochNAKs, MapUpdates uint64
-	Active                     int
+	// Unexpected counts messages of a type an issuer does not handle
+	// (valid wire input misrouted by a peer), dropped.
+	Unexpected uint64
+	Active     int
 	// Window is the admission controller's current in-flight window (0 when
 	// admission control is disabled).
 	Window float64
@@ -371,7 +376,8 @@ func (ri *Issuer) Snapshot() Stats {
 		Shed: ri.shed, BusyNAKs: ri.busyNAKs, ROBusyShed: ri.roBusyShed,
 		QuorumExcluded: ri.quorumExcluded,
 		WrongEpochNAKs: ri.wrongEpochNAKs, MapUpdates: ri.mapUpdates,
-		Active: len(ri.active) + len(ri.roActive),
+		Unexpected: ri.unexpected,
+		Active:     len(ri.active) + len(ri.roActive),
 	}
 	if ri.adm != nil {
 		s.Window = ri.adm.window
@@ -502,7 +508,7 @@ func (ri *Issuer) OnMessage(ctx engine.Context, from engine.Addr, msg model.Mess
 	case model.StopMsg:
 		// No periodic work to stop; present for symmetry.
 	default:
-		panic(fmt.Sprintf("ri: site %d: unexpected message %T", ri.site, msg))
+		ri.unexpected++
 	}
 }
 
@@ -681,41 +687,28 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 	}
 	s.expectTS = s.ts
 
-	add := func(item model.ItemID, site model.SiteID, kind model.OpKind) {
-		c := model.CopyID{Item: item, Site: site}
-		r := acquireCopyReq()
-		r.copyID = c
-		r.kind = kind
-		// The attempt's bookkeeping is the pool lifetime: these two stores are
-		// the only references, both torn down through releaseAttempt.
-		//ucclint:allow poolsafe -- attempt-scoped retention; releaseAttempt recycles every copyReq it stores before the next acquire
-		s.reqs[c] = r
-		//ucclint:allow poolsafe -- same attempt-scoped retention as the map store above
-		s.order = append(s.order, r)
-	}
 	for _, item := range t.ReadSet {
 		if ri.opts.Quorum != nil {
 			// Quorum reads go to every copy and proceed on any R grants: the
 			// read must intersect every write quorum, and any single copy —
 			// the primary included — may be dead or lagging.
 			for _, site := range ri.pmap.Replicas(item) {
-				add(item, site, model.OpRead)
+				s.addCopy(item, site, model.OpRead)
 			}
 			continue
 		}
-		add(item, ri.pmap.Primary(item), model.OpRead)
+		s.addCopy(item, ri.pmap.Primary(item), model.OpRead)
 	}
 	for _, item := range t.WriteSet {
 		for _, site := range ri.pmap.Replicas(item) {
-			add(item, site, model.OpWrite)
+			s.addCopy(item, site, model.OpWrite)
 		}
 	}
-	sort.Slice(s.order, func(i, j int) bool {
-		a, b := s.order[i].copyID, s.order[j].copyID
-		if a.Item != b.Item {
-			return a.Item < b.Item
+	slices.SortFunc(s.order, func(a, b *copyReq) int {
+		if c := cmp.Compare(a.copyID.Item, b.copyID.Item); c != 0 {
+			return c
 		}
-		return a.Site < b.Site
+		return cmp.Compare(a.copyID.Site, b.copyID.Site)
 	})
 	for _, r := range s.order {
 		ri.send(ctx, s, ri.qmAddr(r.copyID), model.PooledRequest(model.RequestMsg{
@@ -730,6 +723,20 @@ func (ri *Issuer) launch(ctx engine.Context, s *txnState) {
 			Epoch:    ri.pmap.Epoch,
 		}))
 	}
+}
+
+// addCopy adds one copy the attempt must request.
+func (s *txnState) addCopy(item model.ItemID, site model.SiteID, kind model.OpKind) {
+	c := model.CopyID{Item: item, Site: site}
+	r := acquireCopyReq()
+	r.copyID = c
+	r.kind = kind
+	// The attempt's bookkeeping is the pool lifetime: these two stores are
+	// the only references, both torn down through releaseAttempt.
+	//ucclint:allow poolsafe -- attempt-scoped retention; releaseAttempt recycles every copyReq it stores before the next acquire
+	s.reqs[c] = r
+	//ucclint:allow poolsafe -- same attempt-scoped retention as the map store above
+	s.order = append(s.order, r)
 }
 
 func (ri *Issuer) send(ctx engine.Context, s *txnState, to engine.Addr, msg model.Message) {

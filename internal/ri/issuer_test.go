@@ -35,6 +35,7 @@ func (c *fakeCtx) SetTimer(d int64, msg model.Message) {
 	c.timers = append(c.timers, engine.Envelope{To: c.Self(), Msg: msg})
 	c.delays = append(c.delays, d)
 }
+func (c *fakeCtx) Backlog() int { return 0 }
 
 func take[M model.Message](c *fakeCtx) []M {
 	var out []M
@@ -414,5 +415,37 @@ func TestSwitchOnRestart(t *testing.T) {
 	retry := take[model.RequestMsg](c)
 	if len(retry) != 1 || retry[0].Protocol != model.PA {
 		t.Fatalf("retry did not switch to PA: %+v", retry)
+	}
+}
+
+// discardCtx is a delivery layer that keeps nothing: sends recycle at once,
+// timers vanish. It allocates nothing itself, so an allocation count over a
+// handler measures the handler.
+type discardCtx struct{ rng *rand.Rand }
+
+func (c *discardCtx) NowMicros() int64                       { return 1_000 }
+func (c *discardCtx) Self() engine.Addr                      { return engine.RIAddr(0) }
+func (c *discardCtx) Rand() *rand.Rand                       { return c.rng }
+func (c *discardCtx) Send(to engine.Addr, msg model.Message) { model.RecycleMessage(msg) }
+func (c *discardCtx) SetTimer(int64, model.Message)          {}
+func (c *discardCtx) Backlog() int                           { return 0 }
+
+// TestLaunchAllocs pins the attempt launch path allocation-free once its
+// bookkeeping has grown: the copy list is built by a method, not an escaping
+// closure, and sorted without sort.Slice's swapper.
+func TestLaunchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	iss, _ := testIssuer(16, 3, 2)
+	ctx := &discardCtx{rng: rand.New(rand.NewSource(1))}
+	tx := model.NewTxn(model.TxnID{Site: 0, Seq: 1}, model.TwoPL, []model.ItemID{9, 1, 5}, []model.ItemID{12, 3}, 50)
+	iss.OnMessage(ctx, engine.DriverAddr(0), model.SubmitTxnMsg{Txn: tx})
+	s := iss.active[tx.ID]
+	if s == nil || len(s.order) != 3+2*2 {
+		t.Fatalf("submit did not launch the expected 7 copy requests: %+v", s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { iss.launch(ctx, s) }); allocs != 0 {
+		t.Fatalf("launch allocates %.1f times per attempt, want 0", allocs)
 	}
 }

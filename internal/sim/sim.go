@@ -194,6 +194,10 @@ func (c *simContext) Self() engine.Addr {
 }
 func (c *simContext) Rand() *rand.Rand { return c.rng }
 
+// Backlog is always 0: the simulator has no mailboxes, so a handler that
+// batches while a backlog waits behaves exactly as it did without one.
+func (c *simContext) Backlog() int { return 0 }
+
 func (c *simContext) Send(to engine.Addr, msg model.Message) {
 	delay := c.eng.latency.DelayMicros(c.self, to, c.rng)
 	at := c.eng.now + delay

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -39,11 +41,22 @@ const handshakeTimeout = 3 * time.Second
 // and keeping the pipe busy instead of building one giant frame.
 const defaultBatchBytes = 64 << 10
 
+// dropLogEvery is the minimum spacing of the per-peer drop warning after the
+// first one.
+const dropLogEvery = 10 * time.Second
+
+// maxRoutes bounds the destination cache: addresses come from local actors,
+// but a reply address can echo a site id a peer sent, so a hostile peer must
+// not grow the cache (and its copy-on-write cost) without limit.
+const maxRoutes = 4096
+
 // Topology statically assigns every actor address to a named peer.
 type Topology struct {
 	// Peers maps peer name → TCP address.
 	Peers map[string]string
-	// Assign returns the peer name hosting an actor address.
+	// Assign returns the peer name hosting an actor address. It must be a
+	// pure function of the address: a Node caches each address's peer on
+	// first use, so an Assign whose answer changes later is not seen.
 	Assign func(engine.Addr) string
 }
 
@@ -119,6 +132,15 @@ type Node struct {
 	// writes. Zero (the default) flushes as soon as the outbox drains.
 	batchDelay time.Duration
 
+	// routes caches each destination address's resolved peer sender (nil for
+	// a local destination). It is copy-on-write like the runtime's actor
+	// table, so the per-envelope path takes one atomic load and no lock;
+	// only the first envelope to an address goes through Topology.Assign
+	// and n.mu.
+	routes atomic.Pointer[map[engine.Addr]*peerSender]
+	// logf reports drops as they happen (log.Printf by default).
+	logf func(format string, args ...any)
+
 	mu       sync.Mutex
 	senders  map[string]*peerSender
 	outbound map[net.Conn]bool
@@ -144,7 +166,7 @@ type Node struct {
 	// already taken (and may be retrying across a reconnect) is in flight,
 	// not queued, so a reconnect cannot double-shrink the budget or lose
 	// accounting.
-	sendQueueCap int
+	sendQueueCap atomic.Int64
 
 	// Batching observability (tests, diagnostics).
 	sentEnvelopes atomic.Uint64
@@ -180,6 +202,11 @@ type peerSender struct {
 	// between takes and eviction is O(1) amortized instead of an O(n) scan per
 	// enqueue at the cap.
 	shedHint int
+
+	// drops counts the envelopes discarded on the way to this peer, and
+	// droppedLogged is when the last warning about them was logged.
+	drops         uint64
+	droppedLogged time.Time
 }
 
 // NewNode wires rt's uplink into the topology and starts listening on
@@ -192,10 +219,12 @@ func NewNode(rt *engine.Runtime, self, listenAddr string, topo Topology) (*Node,
 	n := &Node{
 		self: self, topo: topo, rt: rt,
 		batchBytes: defaultBatchBytes,
+		logf:       log.Printf,
 		senders:    map[string]*peerSender{},
 		outbound:   map[net.Conn]bool{},
 		inbound:    map[net.Conn]bool{},
 	}
+	n.routes.Store(&map[engine.Addr]*peerSender{})
 	rt.SetUplink(n.forward)
 	if listenAddr != "" {
 		ln, err := net.Listen("tcp", listenAddr)
@@ -238,11 +267,7 @@ func (n *Node) Wire() *metrics.WireCounters { return &n.wireStats }
 // will never come. Completion traffic is never evicted and may ride past
 // the cap. Zero (the default) keeps outboxes unbounded. Call before traffic
 // flows.
-func (n *Node) SetSendQueueCap(cap int) {
-	n.mu.Lock()
-	n.sendQueueCap = cap
-	n.mu.Unlock()
-}
+func (n *Node) SetSendQueueCap(cap int) { n.sendQueueCap.Store(int64(cap)) }
 
 // QueueStats reports (envelopes the transport discarded — send-queue-cap
 // evictions plus batches dropped on an unreachable peer — and the deepest
@@ -333,27 +358,18 @@ func (n *Node) readLoop(c net.Conn) {
 // destinations short-circuit into the runtime; remote ones enqueue on the
 // destination peer's outbox for its writer goroutine to batch onto the wire.
 func (n *Node) forward(env engine.Envelope) {
-	peer := n.topo.Assign(env.To)
-	if peer == n.self {
+	ps, ok := (*n.routes.Load())[env.To]
+	if !ok {
+		if ps, ok = n.route(env.To); !ok {
+			return // node closed
+		}
+	}
+	if ps == nil {
 		//ucclint:allow postnotinject -- forward IS Post's routing backend; the local short-circuit must Inject or it would recurse
 		n.rt.Inject(env)
 		return
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	ps := n.senders[peer]
-	if ps == nil {
-		ps = &peerSender{n: n, peer: peer}
-		ps.cond = sync.NewCond(&ps.mu)
-		n.senders[peer] = ps
-		n.wg.Add(1)
-		go ps.run()
-	}
-	cap := n.sendQueueCap
-	n.mu.Unlock()
+	cap := int(n.sendQueueCap.Load())
 
 	ps.mu.Lock()
 	var nak engine.Envelope
@@ -371,8 +387,8 @@ func (n *Node) forward(env engine.Envelope) {
 					nak = b
 					haveNak = true
 					copy(ps.queue[i:], ps.queue[i+1:])
+					ps.queue[len(ps.queue)-1] = engine.Envelope{}
 					ps.queue = ps.queue[:len(ps.queue)-1]
-					n.droppedSends.Add(1)
 					ps.shedHint = i
 					break
 				}
@@ -390,6 +406,7 @@ func (n *Node) forward(env engine.Envelope) {
 	}
 	ps.mu.Unlock()
 	if haveNak {
+		ps.dropped(1, "send queue full")
 		// NAK the evicted envelope back to its (local) sender, exactly as the
 		// engine NAKs a sheddable refused at a full mailbox (Runtime.nak):
 		// silence here would strand the issuer's attempt in negotiation
@@ -401,9 +418,59 @@ func (n *Node) forward(env engine.Envelope) {
 	}
 }
 
+// route resolves a destination the cache has not seen: its peer sender
+// (started on first use), or nil for a local destination. ok is false once
+// the node is closed.
+func (n *Node) route(to engine.Addr) (ps *peerSender, ok bool) {
+	peer := n.topo.Assign(to)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil, false
+	}
+	if peer != n.self {
+		ps = n.senders[peer]
+		if ps == nil {
+			ps = &peerSender{n: n, peer: peer}
+			ps.cond = sync.NewCond(&ps.mu)
+			n.senders[peer] = ps
+			n.wg.Add(1)
+			go ps.run()
+		}
+	}
+	if old := *n.routes.Load(); len(old) < maxRoutes {
+		routes := maps.Clone(old)
+		routes[to] = ps
+		n.routes.Store(&routes)
+	}
+	return ps, true
+}
+
+// dropped counts k envelopes discarded on the way to this peer and logs it:
+// the first drop at once, later ones at most once per dropLogEvery, each
+// line carrying the running count. Counters alone surfaced a dead peer only
+// at shutdown.
+func (ps *peerSender) dropped(k int, why string) {
+	ps.n.droppedSends.Add(uint64(k))
+	ps.mu.Lock()
+	ps.drops += uint64(k)
+	total := ps.drops
+	now := time.Now()
+	loud := ps.droppedLogged.IsZero() || now.Sub(ps.droppedLogged) >= dropLogEvery
+	if loud {
+		ps.droppedLogged = now
+	}
+	ps.mu.Unlock()
+	if loud {
+		ps.n.logf("transport %s: dropping envelopes to peer %q (%s): %d dropped so far", ps.n.self, ps.peer, why, total)
+	}
+}
+
 // take blocks until the outbox is non-empty (or the sender is closed) and
-// returns the whole backlog.
-func (ps *peerSender) take() ([]engine.Envelope, bool) {
+// returns the whole backlog. The outbox continues in spare, the writer's
+// previous batch handed back emptied: the two buffers alternate, so a
+// steady stream of batches allocates nothing.
+func (ps *peerSender) take(spare []engine.Envelope) ([]engine.Envelope, bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for len(ps.queue) == 0 && !ps.closed {
@@ -413,18 +480,20 @@ func (ps *peerSender) take() ([]engine.Envelope, bool) {
 		return nil, false // closed and drained
 	}
 	batch := ps.queue
-	ps.queue = nil
+	ps.queue = spare[:0]
 	ps.shedHint = 0
 	return batch, true
 }
 
-// tryTake returns any backlog without blocking (batch growth between
-// encoding and flushing).
-func (ps *peerSender) tryTake() []engine.Envelope {
+// takeMore appends any further backlog to batch without blocking (batch
+// growth between encoding and flushing), leaving the outbox empty with its
+// capacity kept.
+func (ps *peerSender) takeMore(batch []engine.Envelope) []engine.Envelope {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	batch := ps.queue
-	ps.queue = nil
+	batch = append(batch, ps.queue...)
+	clear(ps.queue)
+	ps.queue = ps.queue[:0]
 	ps.shedHint = 0
 	return batch
 }
@@ -505,8 +574,9 @@ func (ps *peerSender) run() {
 		}
 	}
 	defer retire()
+	var spare []engine.Envelope
 	for {
-		batch, ok := ps.take()
+		batch, ok := ps.take(spare)
 		if !ok {
 			return
 		}
@@ -514,19 +584,17 @@ func (ps *peerSender) run() {
 			// Optional linger: let the batch grow before it is framed. The
 			// grown batch is still retried as a unit on a dead connection.
 			time.Sleep(ps.n.batchDelay)
-			batch = append(batch, ps.tryTake()...)
+			batch = ps.takeMore(batch)
 		}
-		sent := false
+		taken := len(batch)
+		var err error
 		for attempt := 0; attempt < 2; attempt++ {
 			if pc == nil {
-				var err error
 				if pc, err = ps.connect(); err != nil {
 					break // unreachable peer: drop the batch (NAK'd below)
 				}
 			}
-			var err error
 			if batch, err = ps.writeBatch(pc, batch); err == nil {
-				sent = true
 				break
 			}
 			// The connection is dead: retire it — along with any
@@ -534,10 +602,14 @@ func (ps *peerSender) run() {
 			// exactly once on a fresh dial.
 			retire()
 		}
-		if !sent {
-			ps.n.droppedSends.Add(uint64(len(batch)))
+		if err != nil {
+			ps.dropped(len(batch), err.Error())
 			ps.n.nakBatch(batch)
 		}
+		// Hand the batch back as the next outbox. writeBatch may have
+		// compacted it, so clear everything it held, not just its length.
+		clear(batch[:taken])
+		spare = batch[:0]
 	}
 }
 
@@ -602,7 +674,7 @@ func (ps *peerSender) writeBatch(pc *peerConn, batch []engine.Envelope) ([]engin
 				// drop, a sheddable envelope is NAK'd back to its local
 				// sender; silence would strand the issuer's attempt in
 				// negotiation forever.
-				ps.n.droppedSends.Add(1)
+				ps.dropped(1, "unencodable envelope")
 				if nak, ok := busyNAK(env); ok {
 					//ucclint:allow postnotinject -- NAK to the unencodable envelope's local sender: busyNAK only produces locally-addressed envelopes
 					ps.n.rt.Inject(nak)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -449,6 +450,112 @@ func TestBatchCoalesces(t *testing.T) {
 		if req := m.(model.RequestMsg); req.Txn.Seq != uint64(i) {
 			t.Fatalf("order broken at %d: %+v", i, req)
 		}
+	}
+}
+
+// TestOutboxReuse: the writer hands each drained batch back as the next
+// outbox, so a steady stream of enqueue/take cycles allocates nothing once
+// both buffers have grown — and the route cache keeps forward itself free of
+// per-envelope formatting and locking.
+func TestOutboxReuse(t *testing.T) {
+	rt := engine.NewRuntime(nil, 1)
+	defer rt.Shutdown()
+	node, err := NewNode(rt, "site0", "", Topology{Peers: map[string]string{}, Assign: StandardAssign("client")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	// A peer sender with no writer goroutine: the test plays the writer.
+	ps := &peerSender{n: node, peer: "site1"}
+	ps.cond = sync.NewCond(&ps.mu)
+	node.routes.Store(&map[engine.Addr]*peerSender{engine.QMAddr(1): ps})
+
+	var msg model.Message = model.ReleaseMsg{Txn: model.TxnID{Site: 0, Seq: 1}}
+	env := engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: msg}
+	var spare []engine.Envelope
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			node.forward(env)
+		}
+		batch, ok := ps.take(spare)
+		if !ok || len(batch) != 64 {
+			t.Fatalf("took %d envelopes (ok=%v), want 64", len(batch), ok)
+		}
+		clear(batch)
+		spare = batch[:0]
+	}
+	cycle()
+	cycle() // both buffers at full size
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("enqueue/take cycle allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestDropsAreLogged: the first envelope dropped on the way to a peer is
+// logged at once, later drops at most once per dropLogEvery with the running
+// count — instead of surfacing only in the shutdown counters.
+func TestDropsAreLogged(t *testing.T) {
+	rt := engine.NewRuntime(nil, 1)
+	defer rt.Shutdown()
+	node, err := NewNode(rt, "self", "", Topology{
+		Peers:  map[string]string{},
+		Assign: func(engine.Addr) string { return "ghost" },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	var mu sync.Mutex
+	var lines []string
+	node.logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	logged := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), lines...)
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			node.forward(engine.Envelope{From: engine.RIAddr(0), To: engine.QMAddr(1), Msg: model.ReleaseMsg{}})
+		}
+	}
+	waitDropped := func(want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if d, _ := node.QueueStats(); d == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				d, _ := node.QueueStats()
+				t.Fatalf("dropped %d, want %d", d, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	send(1)
+	waitDropped(1)
+	if l := logged(); len(l) != 1 || !strings.Contains(l[0], `"ghost"`) || !strings.Contains(l[0], "1 dropped so far") {
+		t.Fatalf("after the first drop, log = %q", l)
+	}
+	send(5)
+	waitDropped(6)
+	if l := logged(); len(l) != 1 {
+		t.Fatalf("drops inside the quiet period logged again: %q", l)
+	}
+	// Once the quiet period has passed, the next drop logs the running count.
+	ps := (*node.routes.Load())[engine.QMAddr(1)]
+	ps.mu.Lock()
+	ps.droppedLogged = ps.droppedLogged.Add(-dropLogEvery)
+	ps.mu.Unlock()
+	send(1)
+	waitDropped(7)
+	if l := logged(); len(l) != 2 || !strings.Contains(l[1], "7 dropped so far") {
+		t.Fatalf("after the quiet period, log = %q", l)
 	}
 }
 

@@ -27,6 +27,7 @@ func (c *fakeCtx) SetTimer(d int64, msg model.Message) {
 	c.timers = append(c.timers, d)
 	c.now += d
 }
+func (c *fakeCtx) Backlog() int { return 0 }
 
 func drive(t *testing.T, spec Spec, n int) []*model.Txn {
 	t.Helper()
